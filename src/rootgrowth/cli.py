@@ -286,15 +286,57 @@ def _run_id(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def check_runnable(cfg: RunConfig, n_frames: int, n_coords: int, class_sizes) -> None:
+    """Reject a config that cannot run on data of this shape, naming the key.
+
+    The fold PCA is fit on the frames of the training samples, so it
+    needs pca_components <= min(coordinates, training frames - 1) for
+    the smallest training set (the largest test fold held out). Every
+    window must fit in the frames, and every class needs at least one
+    member per fold.
+    """
+    n = int(sum(class_sizes))
+    train_frames = (n - -(-n // cfg.folds)) * n_frames
+    limit = min(n_coords, train_frames - 1)
+    if cfg.pca_components > limit:
+        raise ConfigError(
+            f"pca_components = {cfg.pca_components} cannot run: at most {limit} for "
+            f"{n_coords} coordinates and {train_frames} training frames per fold"
+        )
+    if cfg.window_length > n_frames:
+        raise ConfigError(
+            f"window_length = {cfg.window_length} cannot run: samples have {n_frames} frames"
+        )
+    smallest = int(min(class_sizes))
+    if cfg.folds > smallest:
+        raise ConfigError(
+            f"folds = {cfg.folds} cannot run: the smallest class has {smallest} samples"
+        )
+
+
 def run_protocol(cfg: RunConfig) -> dict:
-    """Execute the full procedure and return the results payload."""
+    """Execute the full procedure and return the results payload.
+
+    Every pairing is checked with `check_runnable` before the first
+    window search; synthetic data is checked before it is generated.
+    """
+    if cfg.dataset == "synthetic":
+        syn = cfg.synthetic
+        check_runnable(cfg, syn.n_frames, syn.n_coords, (syn.n_per_class, syn.n_per_class))
     ds = _resolve_dataset(cfg)
     pairings = _resolve_pairings(cfg, ds)
+    pair_sets = []
+    for wild_tag, mutated_tag in pairings:
+        pair_ds = _stage("pairing", split_by_pairing, ds, wild_tag, mutated_tag)
+        _stage(
+            f"pairing {wild_tag}:{mutated_tag}", check_runnable, cfg,
+            pair_ds.n_frames, pair_ds.n_coords, np.bincount(pair_ds.labels_unit()),
+        )
+        pair_sets.append(pair_ds)
     specs = cfg.specs()
     labels = [s.label for s in specs]
     rows = []
-    for wild_tag, mutated_tag in pairings:
-        pair_ds = _stage("pairing", split_by_pairing, ds, wild_tag, mutated_tag)
+    for (wild_tag, mutated_tag), pair_ds in zip(pairings, pair_sets):
         pair_seed = derive(cfg.seed, "pairing", wild_tag, mutated_tag)
         result = _stage(
             "window-search",

@@ -1,8 +1,11 @@
 """Neural ensembles: negative correlation, mixtures of experts, and hybrids.
 
 Every expert is a one-hidden-layer MLP with sigmoid activations at both
-layers and a trailing bias weight per layer. Four trainers share the
-same forward/backward building blocks:
+layers and a trailing bias weight per layer. The single-pattern
+helpers (error signals and weight increments of one expert or the gate)
+state the update rules; the trainers run one stacked engine in which a
+pattern step updates all experts at once, bitwise as the helpers would
+one expert at a time:
 
   ncl        experts trained together, each on its squared error plus
              lambda times the correlation penalty; simple averaging.
@@ -270,10 +273,7 @@ def _check_training_inputs(x, y, lam):
     return x, y
 
 
-def _ensure_finite(nets, gate, epoch):
-    arrays = [a for net in nets for a in (net.w_hidden, net.w_out)]
-    if gate is not None:
-        arrays += [gate.w_hidden, gate.w_out]
+def _ensure_finite(epoch, *arrays):
     for a in arrays:
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite weights after epoch {epoch}")
@@ -287,6 +287,11 @@ def _freeze(model: EnsembleModel) -> EnsembleModel:
         model.gate.w_hidden.flags.writeable = False
         model.gate.w_out.flags.writeable = False
     return model
+
+
+def _augment(x):
+    """Rows of x with the bias input 1.0 appended."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
 def train_backprop(
@@ -316,8 +321,90 @@ def train_backprop(
             inc_h, inc_out = expert_increments(net.w_out, x_aug, o_h, o, err)
             net.w_hidden += cfg.eta_experts * inc_h
             net.w_out += cfg.eta_experts * inc_out
-        _ensure_finite((net,), None, epoch)
+        _ensure_finite(epoch, net.w_hidden, net.w_out)
     return net
+
+
+# ---------------------------------------------------------------------------
+# Stacked experts: one pattern step updates all M experts at once.
+#
+# Expert weights live in wh (M, H, d+1) and wo (M, 1, H+1). Every
+# per-expert product below is the gemv or dot that `_forward` and
+# `expert_increments` make for one expert, and every increment is
+# formed in the same multiplication order, so a stacked fit is bitwise
+# the fit of M experts updated one after another.
+
+
+def _expert_views(wh, wo) -> tuple[MlpNetwork, ...]:
+    return tuple(MlpNetwork(wh[i], wo[i]) for i in range(len(wh)))
+
+
+def _experts_forward(wh, wo, x_aug):
+    """Hidden activations (..., M, H) and outputs (..., M) of every expert
+    for one augmented input (d+1,) or for each row of a batch (n, d+1)."""
+    o_h = _sigmoid(np.matmul(wh, x_aug[..., None, :, None])[..., 0])
+    o = _sigmoid(np.matmul(wo[:, :, :-1], o_h[..., None])[..., 0, 0] + wo[:, 0, -1])
+    return o_h, o
+
+
+def _experts_step(wh, wo, x_aug, o_h, o, err, eta):
+    """In-place delta-rule step of every expert on its error signal."""
+    delta_o = err * o * (1.0 - o)
+    delta_h = (wo[:, 0, :-1] * delta_o[:, None]) * o_h * (1.0 - o_h)
+    wo[:, 0, :-1] += eta * (delta_o[:, None] * o_h)
+    wo[:, 0, -1] += eta * delta_o
+    wh += eta * (delta_h[:, :, None] * x_aug)
+
+
+def _gate_step(gate, x_aug, go_h, o_sig, resid, eta):
+    """In-place delta-rule step of the gate on its residual (target - g)."""
+    inc_h, inc_out = gate_increments(gate.w_out, x_aug, go_h, o_sig, resid)
+    gate.w_hidden += eta * inc_h
+    gate.w_out += eta * inc_out
+
+
+def _train_experts(x, y, cfg, lam, gate):
+    """Train the stacked experts jointly; returns (wh, wo). A given gate
+    is trained in place.
+
+    All experts see the same shuffled pattern sequence. Without a gate
+    each expert steps on its NCL error. With one, the posterior h
+    weights each expert's penalized error (``mnce_output_error``) and
+    the gate steps toward h; ``lam`` scales the correlation terms in
+    both.
+    """
+    x_aug = _augment(x)
+    nets = [
+        init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "expert-init", i))
+        for i in range(cfg.n_experts)
+    ]
+    wh = np.stack([net.w_hidden for net in nets])
+    wo = np.stack([net.w_out for net in nets])
+    m = cfg.n_experts
+    rng = np.random.default_rng(derive(cfg.seed, "shuffle"))
+    for epoch in range(cfg.epochs):
+        for idx in rng.permutation(len(y)):
+            xa, t = x_aug[idx], y[idx]
+            o_h, o = _experts_forward(wh, wo, xa)
+            o_bar = o.mean()
+            dev = o - o_bar
+            if gate is None:
+                err = (t - o) + lam * dev  # ncl_output_error
+            else:
+                go_h, o_sig, g = _gate_forward(gate.w_hidden, gate.w_out, xa)
+                # mnce_posterior, with ncl_penalty for every expert
+                w = g * np.exp(-0.5 * (t - o) ** 2 + lam * (dev * (dev.sum() - dev)))
+                h = w / w.sum()
+                # mnce_penalty_grad for every expert
+                slope = g * ((o.sum() - o) - (m - 1) * o_bar) + g * (m - 1) * dev
+                err = h * ((t - o) - lam * slope)
+                _gate_step(gate, xa, go_h, o_sig, h - g, cfg.eta_gate)
+            _experts_step(wh, wo, xa, o_h, o, err, cfg.eta_experts)
+        if gate is None:
+            _ensure_finite(epoch, wh, wo)
+        else:
+            _ensure_finite(epoch, wh, wo, gate.w_hidden, gate.w_out)
+    return wh, wo
 
 
 def train_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> EnsembleModel:
@@ -329,50 +416,32 @@ def train_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> Ens
     independent backprop for every expert.
     """
     x, y = _check_training_inputs(x, y, lam)
-    nets = [
-        init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "expert-init", i))
-        for i in range(cfg.n_experts)
-    ]
-    rng = np.random.default_rng(derive(cfg.seed, "shuffle"))
-    for epoch in range(cfg.epochs):
-        for idx in rng.permutation(len(y)):
-            x_aug = np.append(x[idx], 1.0)
-            states = [_forward(net.w_hidden, net.w_out, x_aug) for net in nets]
-            outs = np.array([o for _, o in states])
-            for i, net in enumerate(nets):
-                err = ncl_output_error(y[idx], outs, i, lam)
-                inc_h, inc_out = expert_increments(
-                    net.w_out, x_aug, states[i][0], outs[i], err
-                )
-                net.w_hidden += cfg.eta_experts * inc_h
-                net.w_out += cfg.eta_experts * inc_out
-        _ensure_finite(nets, None, epoch)
-    return _freeze(EnsembleModel("ncl", tuple(nets), None, lam, cfg))
+    wh, wo = _train_experts(x, y, cfg, lam, None)
+    return _freeze(EnsembleModel("ncl", _expert_views(wh, wo), None, lam, cfg))
 
 
 def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> EnsembleModel:
     """Two-stage hybrid: NCL experts, then a gate over frozen experts.
 
     Stage two trains only the gating network, toward the expertise
-    shares of each pattern; expert weights are left untouched (they are
-    frozen read-only by stage one).
+    shares of each pattern; expert weights are left untouched, so each
+    pattern's shares are computed once, before the first gate epoch.
     """
-    stage1 = train_ncl(x, y, cfg, lam)
     x, y = _check_training_inputs(x, y, lam)
-    nets = stage1.experts
+    wh, wo = _train_experts(x, y, cfg, lam, None)
+    x_aug = _augment(x)
+    shares = np.array(
+        [gncl_target(t, _experts_forward(wh, wo, xa)[1]) for xa, t in zip(x_aug, y)]
+    )
     gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
     rng = np.random.default_rng(derive(cfg.seed, "gate-shuffle"))
     for epoch in range(cfg.epochs):
         for idx in rng.permutation(len(y)):
-            x_aug = np.append(x[idx], 1.0)
-            outs = np.array([_forward(net.w_hidden, net.w_out, x_aug)[1] for net in nets])
-            h = gncl_target(y[idx], outs)
-            go_h, o_sig, g = _gate_forward(gate.w_hidden, gate.w_out, x_aug)
-            inc_h, inc_out = gate_increments(gate.w_out, x_aug, go_h, o_sig, h - g)
-            gate.w_hidden += cfg.eta_gate * inc_h
-            gate.w_out += cfg.eta_gate * inc_out
-        _ensure_finite((), gate, epoch)
-    return _freeze(EnsembleModel("gated_ncl", nets, gate, lam, cfg))
+            xa = x_aug[idx]
+            go_h, o_sig, g = _gate_forward(gate.w_hidden, gate.w_out, xa)
+            _gate_step(gate, xa, go_h, o_sig, shares[idx] - g, cfg.eta_gate)
+        _ensure_finite(epoch, gate.w_hidden, gate.w_out)
+    return _freeze(EnsembleModel("gated_ncl", _expert_views(wh, wo), gate, lam, cfg))
 
 
 def train_mnce(
@@ -386,31 +455,9 @@ def train_mnce(
     in both the posterior and the expert errors.
     """
     x, y = _check_training_inputs(x, y, lam)
-    nets = [
-        init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "expert-init", i))
-        for i in range(cfg.n_experts)
-    ]
     gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
-    rng = np.random.default_rng(derive(cfg.seed, "shuffle"))
-    for epoch in range(cfg.epochs):
-        for idx in rng.permutation(len(y)):
-            x_aug = np.append(x[idx], 1.0)
-            states = [_forward(net.w_hidden, net.w_out, x_aug) for net in nets]
-            outs = np.array([o for _, o in states])
-            go_h, o_sig, g = _gate_forward(gate.w_hidden, gate.w_out, x_aug)
-            h = mnce_posterior(y[idx], outs, g, lam)
-            for i, net in enumerate(nets):
-                err = mnce_output_error(y[idx], outs, g, h, i, lam)
-                inc_h, inc_out = expert_increments(
-                    net.w_out, x_aug, states[i][0], outs[i], err
-                )
-                net.w_hidden += cfg.eta_experts * inc_h
-                net.w_out += cfg.eta_experts * inc_out
-            ginc_h, ginc_out = gate_increments(gate.w_out, x_aug, go_h, o_sig, h - g)
-            gate.w_hidden += cfg.eta_gate * ginc_h
-            gate.w_out += cfg.eta_gate * ginc_out
-        _ensure_finite(nets, gate, epoch)
-    return _freeze(EnsembleModel(variant, tuple(nets), gate, lam, cfg))
+    wh, wo = _train_experts(x, y, cfg, lam, gate)
+    return _freeze(EnsembleModel(variant, _expert_views(wh, wo), gate, lam, cfg))
 
 
 def train_me(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> EnsembleModel:
@@ -447,11 +494,31 @@ def ensemble_output(model: EnsembleModel, x: np.ndarray) -> float:
 
 
 def predict_batch(model: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Combined outputs and 0/1 labels; the tie O_T = 0.5 goes to 0."""
+    """Combined outputs and 0/1 labels; the tie O_T = 0.5 goes to 0.
+
+    One stacked pass over all rows; every row's products are the ones
+    `ensemble_output` makes, so the outputs are bitwise equal to it.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_inputs:
         raise ValueError(f"x must be (n, {model.n_inputs}), got shape {x.shape}")
-    outputs = np.array([ensemble_output(model, row) for row in x])
+    if not np.isfinite(x).all():
+        raise DataFormatError("input contains non-finite values")
+    x_aug = _augment(x)
+    _, outs = _experts_forward(
+        np.stack([net.w_hidden for net in model.experts]),
+        np.stack([net.w_out for net in model.experts]),
+        x_aug,
+    )
+    if model.gate is None:
+        outputs = outs.mean(axis=1)
+    else:
+        gh, go = model.gate.w_hidden, model.gate.w_out
+        g_h = _sigmoid(np.matmul(gh, x_aug[:, :, None])[..., 0])
+        o_sig = _sigmoid(np.matmul(go[:, :-1], g_h[:, :, None])[..., 0] + go[:, -1])
+        e = np.exp(o_sig - o_sig.max(axis=1, keepdims=True))
+        g = e / e.sum(axis=1, keepdims=True)
+        outputs = np.matmul(outs[:, None, :], g[:, :, None])[:, 0, 0]
     return outputs, (outputs > 0.5).astype(np.int64)
 
 

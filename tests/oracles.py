@@ -3,12 +3,29 @@
 Everything here is deliberately written a different way from the library
 code: loop-based differences, a cyclic Jacobi eigensolver, a projected
 gradient QP solver, central finite differences, and a nearest-centroid
-classifier. None of it imports from the modules under test.
+classifier. None of it imports from the modules under test, except the
+reference ensemble trainers at the end: they run one expert at a time
+through the public single-pattern helpers, which gate 1 checks against
+finite differences, and so pin down what the stacked trainers compute.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from rootgrowth.ensembles import (
+    expert_increments,
+    gate_forward,
+    gate_increments,
+    gncl_target,
+    init_gate,
+    init_mlp,
+    mlp_forward,
+    mnce_output_error,
+    mnce_posterior,
+    ncl_output_error,
+)
+from rootgrowth.seeding import derive
 
 
 def jacobi_eigh(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
@@ -144,3 +161,78 @@ def nearest_centroid_cv_error(x: np.ndarray, y: np.ndarray, folds) -> float:
         pred = (d1 < d0).astype(np.int64)
         errors.append(float(np.mean(pred != y[test_idx])))
     return float(np.mean(errors))
+
+
+# ---------------------------------------------------------------------------
+# Reference ensemble trainers: one expert and one pattern at a time.
+# Each returns (experts, gate); gate is None for plain NCL.
+
+
+def reference_ncl(x, y, cfg, lam):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    nets = [
+        init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "expert-init", i))
+        for i in range(cfg.n_experts)
+    ]
+    rng = np.random.default_rng(derive(cfg.seed, "shuffle"))
+    for epoch in range(cfg.epochs):
+        for idx in rng.permutation(len(y)):
+            x_aug = np.append(x[idx], 1.0)
+            states = [mlp_forward(net, x[idx]) for net in nets]
+            outs = np.array([o for _, o in states])
+            for i, net in enumerate(nets):
+                err = ncl_output_error(y[idx], outs, i, lam)
+                inc_h, inc_out = expert_increments(
+                    net.w_out, x_aug, states[i][0], outs[i], err
+                )
+                net.w_hidden += cfg.eta_experts * inc_h
+                net.w_out += cfg.eta_experts * inc_out
+    return nets, None
+
+
+def reference_gated_ncl(x, y, cfg, lam):
+    nets, _ = reference_ncl(x, y, cfg, lam)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
+    rng = np.random.default_rng(derive(cfg.seed, "gate-shuffle"))
+    for epoch in range(cfg.epochs):
+        for idx in rng.permutation(len(y)):
+            x_aug = np.append(x[idx], 1.0)
+            outs = np.array([mlp_forward(net, x[idx])[1] for net in nets])
+            h = gncl_target(y[idx], outs)
+            go_h, o_sig, g = gate_forward(gate, x[idx])
+            inc_h, inc_out = gate_increments(gate.w_out, x_aug, go_h, o_sig, h - g)
+            gate.w_hidden += cfg.eta_gate * inc_h
+            gate.w_out += cfg.eta_gate * inc_out
+    return nets, gate
+
+
+def reference_mnce(x, y, cfg, lam):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    nets = [
+        init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "expert-init", i))
+        for i in range(cfg.n_experts)
+    ]
+    gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
+    rng = np.random.default_rng(derive(cfg.seed, "shuffle"))
+    for epoch in range(cfg.epochs):
+        for idx in rng.permutation(len(y)):
+            x_aug = np.append(x[idx], 1.0)
+            states = [mlp_forward(net, x[idx]) for net in nets]
+            outs = np.array([o for _, o in states])
+            go_h, o_sig, g = gate_forward(gate, x[idx])
+            h = mnce_posterior(y[idx], outs, g, lam)
+            for i, net in enumerate(nets):
+                err = mnce_output_error(y[idx], outs, g, h, i, lam)
+                inc_h, inc_out = expert_increments(
+                    net.w_out, x_aug, states[i][0], outs[i], err
+                )
+                net.w_hidden += cfg.eta_experts * inc_h
+                net.w_out += cfg.eta_experts * inc_out
+            ginc_h, ginc_out = gate_increments(gate.w_out, x_aug, go_h, o_sig, h - g)
+            gate.w_hidden += cfg.eta_gate * ginc_h
+            gate.w_out += cfg.eta_gate * ginc_out
+    return nets, gate

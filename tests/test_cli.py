@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from rootgrowth import cli
 from rootgrowth.cli import (
     RunConfig,
     build_run_config,
+    check_runnable,
     main,
     parse_config_file,
     render_table,
@@ -158,6 +160,65 @@ class TestRun:
         run_cfg = write_config(tmp_path, f"dataset = {data}\nfolds = 2\npca_components = 2\nwindow_length = 8\nclassifiers = linear_svm\n", name="r.cfg")
         assert main(["run", "--config", run_cfg, "--out", str(tmp_path / "r")]) == 1
         assert "pairings" in capsys.readouterr().err
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("compute started before the config was checked")
+
+
+class TestFailFast:
+    """Configs that cannot run on their data stop before any compute."""
+
+    def test_bare_run_names_pca_components_before_generating(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        assert main(["run"]) == 1
+        err = capsys.readouterr().err
+        assert "pca_components = 30" in err and "5 coordinates" in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "extra,key",
+        [
+            ("window_length = 30\n", "window_length = 30"),
+            ("folds = 6\n", "folds = 6"),
+            ("pca_components = 4\n", "pca_components = 4"),
+        ],
+    )
+    def test_synthetic_checked_before_generating(self, tmp_path, monkeypatch, capsys, extra, key):
+        base = "".join(
+            line + "\n" for line in TINY.strip().splitlines()
+            if not line.startswith(key.split(" ")[0] + " ")
+        )
+        cfg = write_config(tmp_path, base + extra)
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys,key",
+        [
+            ("pca_components = 4\nwindow_length = 8\nfolds = 2\n", "pca_components = 4"),
+            ("pca_components = 2\nwindow_length = 25\nfolds = 2\n", "window_length = 25"),
+            ("pca_components = 2\nwindow_length = 8\nfolds = 6\n", "folds = 6"),
+        ],
+    )
+    def test_csv_checked_before_window_search(self, tmp_path, monkeypatch, capsys, keys, key):
+        data = tmp_path / "d.csv"
+        assert main(["generate", "--config", write_config(tmp_path, TINY), "--out", str(data)]) == 0
+        run_cfg = write_config(tmp_path, f"dataset = {data}\n{keys}classifiers = linear_svm\n", name="r.cfg")
+        monkeypatch.setattr(cli, "window_search", refuse)
+        assert main(["run", "--config", run_cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "pairing wt_syn:mut_syn" in err and key in err
+
+    def test_training_frames_bound_pca(self):
+        # 2 + 2 samples in 2 folds: 2 training samples of 3 frames, so at
+        # most 5 components even with 10 coordinates
+        cfg = RunConfig(pca_components=6, window_length=3, folds=2)
+        with pytest.raises(ConfigError, match="at most 5 for 10 coordinates and 6 training frames"):
+            check_runnable(cfg, 3, 10, (2, 2))
+        check_runnable(RunConfig(pca_components=5, window_length=3, folds=2), 3, 10, (2, 2))
 
 
 class TestReport:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rootgrowth.ensembles import (
+    TRAINERS,
     EnsembleModel,
     GatingNetwork,
     MlpNetwork,
@@ -31,10 +32,10 @@ from rootgrowth.ensembles import (
     train_mnce,
     train_ncl,
 )
-from rootgrowth.errors import DataFormatError
+from rootgrowth.errors import DataFormatError, NumericError
 from rootgrowth.seeding import derive
 
-from oracles import central_diff_grad
+from oracles import central_diff_grad, reference_gated_ncl, reference_mnce, reference_ncl
 
 
 def blob_problem(n=12, seed=0):
@@ -272,6 +273,93 @@ class TestTrainers:
         ):
             _, pred = predict_batch(model, x)
             assert np.mean(pred != y) <= 0.25, model.variant
+
+
+def mixed_problem(n, d, seed):
+    """Random rows of mixed scale with both labels present."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * rng.uniform(0.2, 3.0, d)
+    y = np.zeros(n)
+    y[rng.permutation(n)[: n // 2]] = 1.0
+    return x, y
+
+
+# (variant, lambda): ME is the lambda = 0 mixture
+VARIANT_CASES = [
+    (variant, lam) for variant in ("ncl", "gated_ncl", "mnce") for lam in (0.0, 0.5, 1.0)
+] + [("me", 0.0)]
+
+REFERENCE_TRAINERS = {
+    "ncl": reference_ncl,
+    "gated_ncl": reference_gated_ncl,
+    "me": reference_mnce,
+    "mnce": reference_mnce,
+}
+
+
+def train_variant(variant, x, y, cfg, lam):
+    if variant == "me":
+        return train_me(x, y, cfg)
+    return TRAINERS[variant](x, y, cfg, lam)
+
+
+class TestStackedEngineMatchesReference:
+    """The stacked trainers equal the one-expert-at-a-time loops bitwise."""
+
+    @pytest.mark.parametrize("variant,lam", VARIANT_CASES)
+    @pytest.mark.parametrize("m,hid,d,n", [(2, 1, 171, 9), (2, 4, 5, 7), (4, 1, 3, 11), (4, 4, 171, 13)])
+    def test_weights_bitwise(self, variant, lam, m, hid, d, n):
+        x, y = mixed_problem(n, d, seed=100 * m + 10 * hid + n)
+        cfg = TrainConfig(n_experts=m, hidden=hid, epochs=4, seed=d + n)
+        model = train_variant(variant, x, y, cfg, lam)
+        nets, gate = REFERENCE_TRAINERS[variant](x, y, cfg, lam)
+        assert len(model.experts) == m
+        for got, want in zip(model.experts, nets):
+            assert np.array_equal(got.w_hidden, want.w_hidden)
+            assert np.array_equal(got.w_out, want.w_out)
+        if gate is None:
+            assert model.gate is None
+        else:
+            assert np.array_equal(model.gate.w_hidden, gate.w_hidden)
+            assert np.array_equal(model.gate.w_out, gate.w_out)
+
+    @pytest.mark.parametrize("variant,lam", VARIANT_CASES)
+    def test_predict_batch_matches_per_row_output(self, variant, lam):
+        x, y = mixed_problem(11, 37, seed=3)
+        model = train_variant(variant, x, y, TrainConfig(n_experts=4, hidden=3, epochs=3, seed=8), lam)
+        probe = mixed_problem(17, 37, seed=4)[0]
+        outputs, labels = predict_batch(model, probe)
+        per_row = np.array([ensemble_output(model, row) for row in probe])
+        assert np.array_equal(outputs, per_row)
+        assert np.array_equal(labels, (per_row > 0.5).astype(np.int64))
+
+    def test_predict_batch_rejects_non_finite(self):
+        x, y = blob_problem(seed=18)
+        model = train_ncl(x, y, TrainConfig(n_experts=2, hidden=2, epochs=2, seed=19), 0.5)
+        probe = x.copy()
+        probe[3, 0] = np.inf
+        with pytest.raises(DataFormatError, match="non-finite"):
+            predict_batch(model, probe)
+
+
+def diverging_problem():
+    """Rows near 1e306 between ordinary ones: after a step on an ordinary
+    row with a large learning rate, the products on the huge rows
+    overflow and the weights turn non-finite."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((10, 4))
+    x[::2] *= 1e306
+    return x, np.tile([0.0, 1.0], 5)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("variant", ["ncl", "gated_ncl", "mnce"])
+    def test_non_finite_weights_name_the_epoch(self, variant):
+        x, y = diverging_problem()
+        cfg = TrainConfig(n_experts=2, hidden=2, epochs=3, eta_experts=1e6, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite weights after epoch 0"):
+                train_variant(variant, x, y, cfg, 0.5)
 
 
 class TestPrediction:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from rootgrowth.dataset import SyntheticConfig, TimeSeriesSample, Dataset, generate_synthetic
+from rootgrowth import ensembles
+from rootgrowth.dataset import ClassLabel, SyntheticConfig, TimeSeriesSample, Dataset, generate_synthetic
 from rootgrowth.ensembles import TrainConfig
-from rootgrowth.errors import ConfigError, DataFormatError
+from rootgrowth.errors import ConfigError, DataFormatError, NumericError
 from rootgrowth.evaluation import (
     DEFAULT_LAMBDA_GRID,
+    ENSEMBLE_KINDS,
     KIND_LABELS,
     TABLE_ORDER,
     ClassifierSpec,
@@ -254,6 +256,45 @@ class TestWindowSearch:
         object.__setattr__(bad, "lam", np.nan)  # sneak past spec validation
         with pytest.raises(ValueError, match=r"window \(0, 4\), fold 0"):
             window_search(ds, [bad], WindowSpec(5, 6), 2, 0, n_components=2)
+
+
+    def test_one_trainer_call_per_ensemble_fit(self, monkeypatch):
+        # the traced benchmark counts one ensembles.train span per fit,
+        # wrapped around these same entry points
+        calls = {kind: 0 for kind in ENSEMBLE_KINDS}
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for kind, fn in list(ensembles.TRAINERS.items()):
+            monkeypatch.setitem(ensembles.TRAINERS, kind, counted(kind, fn))
+        monkeypatch.setattr(ensembles, "train_me", counted("me", ensembles.train_me))
+        train = TrainConfig(n_experts=2, hidden=2, epochs=1)
+        specs = [ClassifierSpec(kind, train=train) for kind in ENSEMBLE_KINDS]
+        res = window_search(toy_dataset(), specs, WindowSpec(5, 3), 2, 0, n_components=2)
+        assert len(res.windows) == 3
+        assert calls == {kind: 3 * 2 for kind in ENSEMBLE_KINDS}
+
+    def test_diverging_fit_names_window_and_fold(self):
+        # samples near 1e306 whose frames sum to zero leave the other
+        # samples' scores ordinary after fold centering; a step on an
+        # ordinary row with a huge learning rate then overflows the
+        # products on the huge rows
+        rng = np.random.default_rng(2)
+        big = np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 1.0], [-3.0, -1.0], [0.0, 0.0]]) * 2.0**1016
+        samples = []
+        for i in range(8):
+            label = ClassLabel.WILD if i < 4 else ClassLabel.MUTATED
+            frames = big * (1 + i % 3) if i % 2 == 0 else rng.standard_normal((5, 2))
+            samples.append(TimeSeriesSample(f"s{i}", label.value, label, frames))
+        spec = ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=2, eta_experts=1e6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"window \(0, 4\), fold 0: non-finite weights after epoch 0"):
+                window_search(Dataset(tuple(samples)), [spec], WindowSpec(5, 1), 2, 0, n_components=1)
 
 
 class TestNoLeakage:
