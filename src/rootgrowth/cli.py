@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import evaluation, features, pca
+from . import evaluation, features, pca, svm
 from .dataset import Dataset, SyntheticConfig, generate_synthetic, load_csv, split_by_pairing, write_csv
 from .ensembles import TrainConfig
 from .errors import ConfigError, DataFormatError
@@ -319,6 +319,8 @@ def run_protocol(cfg: RunConfig) -> dict:
 
     Every pairing is checked with `check_runnable` before the first
     window search; synthetic data is checked before it is generated.
+    A pairing whose search had SVM fits stop short of the KKT tolerance
+    gets one warning line on stderr; the payload does not change.
     """
     if cfg.dataset == "synthetic":
         syn = cfg.synthetic
@@ -352,6 +354,14 @@ def run_protocol(cfg: RunConfig) -> dict:
             literal_sum=cfg.literal_sum,
             n_jobs=cfg.jobs,
         )
+        if result.unconverged:
+            n_svm = sum(s.kind in evaluation.SVM_KINDS for s in specs)
+            print(
+                f"warning: pairing {wild_tag}:{mutated_tag}: {result.unconverged} of "
+                f"{n_svm * len(result.windows) * cfg.folds} SVM fits stopped with a KKT "
+                f"residual above the solver tolerance {svm.SMO_TOL:g}",
+                file=sys.stderr,
+            )
         best_label = min(labels, key=lambda lab: (result.best[lab][1], labels.index(lab)))
         rows.append(
             {

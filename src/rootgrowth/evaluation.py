@@ -257,6 +257,7 @@ class WindowResult:
 class SearchResult:
     windows: tuple[WindowResult, ...]
     best: dict[str, tuple[tuple[int, int], float]]  # label -> (window, error)
+    unconverged: int  # SVM fits whose KKT residual ended above the solver tolerance
 
 
 def fit_fold_pca(dataset: Dataset, train_indices: np.ndarray, n_components: int) -> pca.PcaModel:
@@ -297,6 +298,7 @@ def _evaluate_window(w_idx: int):
     window = ctx["windows"][w_idx]
     labels = ctx["labels"]
     rates: dict[str, list[float]] = {spec.label: [] for spec in ctx["specs"]}
+    unconverged = 0
     for fold_idx, (fm, train_idx, test_idx) in enumerate(ctx["fold_sets"]):
         sliced = features.slice_features(fm, window)
         for spec in ctx["specs"]:
@@ -309,9 +311,11 @@ def _evaluate_window(w_idx: int):
             except (ValueError, ArithmeticError) as exc:
                 raise type(exc)(f"window {window}, fold {fold_idx}: {exc}") from None
             rates[spec.label].append(error_rate(preds, labels[test_idx]))
+            if spec.kind in SVM_KINDS and fitted.model.kkt_residual > svm.SMO_TOL:
+                unconverged += 1
     means = {label: float(np.mean(r)) for label, r in rates.items()}
     per_fold = {label: tuple(r) for label, r in rates.items()}
-    return w_idx, means, per_fold
+    return w_idx, means, per_fold, unconverged
 
 
 def window_search(
@@ -333,7 +337,8 @@ def window_search(
     fold's PCA is fit on its pooled training frames only, and windows
     see slices of those per-fold features. Results cover all windows;
     the best window per classifier is the error argmin with ties going
-    to the smallest start frame.
+    to the smallest start frame. ``unconverged`` counts the SVM fits
+    whose KKT residual ended above the solver's default tolerance.
     """
     if not specs:
         raise ConfigError("no classifiers configured")
@@ -369,7 +374,7 @@ def window_search(
         ) as pool:
             raw = list(pool.map(_evaluate_window, range(len(windows))))
 
-    by_index = {w_idx: (means, per_fold) for w_idx, means, per_fold in raw}
+    by_index = {w_idx: (means, per_fold) for w_idx, means, per_fold, _ in raw}
     results = tuple(
         WindowResult(windows[i], *by_index[i]) for i in range(len(windows))
     )
@@ -379,4 +384,4 @@ def window_search(
             err = res.errors[spec.label]
             if spec.label not in best or err < best[spec.label][1]:
                 best[spec.label] = (res.window, err)
-    return SearchResult(results, best)
+    return SearchResult(results, best, sum(r[3] for r in raw))

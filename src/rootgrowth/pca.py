@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, NumericError
 
 _MAGIC = b"RGPC"
 _VERSION = 1
@@ -45,6 +45,8 @@ class PcaModel:
         gram = comps @ comps.T
         if np.abs(gram - np.eye(k)).max() > 1e-8:
             raise ValueError("components are not orthonormal")
+        if not np.isfinite(eig).all():
+            raise ValueError("eigenvalues must be finite")
         if np.any(eig < 0) or np.any(np.diff(eig) > 0):
             raise ValueError("eigenvalues must be non-negative and non-increasing")
         for arr in (mean, comps, eig):
@@ -86,6 +88,10 @@ def fit(data: np.ndarray, n_components: int) -> PcaModel:
         raise DataFormatError("data has zero variance (all rows identical)")
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     eigenvalues = (s * s) / (n - 1)
+    if not np.isfinite(eigenvalues).all():
+        raise NumericError(
+            f"PCA variances overflow (data up to {np.abs(x).max():.3g} in magnitude)"
+        )
     components = _fix_signs(vt[:n_components].copy())
     return PcaModel(mean, components, eigenvalues[:n_components])
 

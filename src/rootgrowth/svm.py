@@ -22,6 +22,7 @@ from .errors import ConfigError, DataFormatError, NumericError
 
 KERNEL_KINDS = ("linear", "gaussian", "sigmoid", "gaussian_over")
 
+SMO_TOL = 1e-3  # default KKT tolerance of `train_smo`
 _SNAP = 1e-10
 _STEP_EPS = 1e-12
 
@@ -88,6 +89,11 @@ def median_pairwise_distance(x: np.ndarray) -> float:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     iu = np.triu_indices(n, k=1)
     med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    if not math.isfinite(med):
+        raise NumericError(
+            f"median pairwise distance is not finite (points up to "
+            f"{np.abs(x).max():.3g} in magnitude)"
+        )
     if med <= 0:
         raise DataFormatError("median pairwise distance is zero (duplicate points)")
     return med
@@ -256,7 +262,7 @@ def train_smo(
     y: np.ndarray,
     kernel: KernelSpec,
     c: float = 1.0,
-    tol: float = 1e-3,
+    tol: float = SMO_TOL,
     max_passes: int = 100,
     seed: int = 0,
 ) -> SvmModel:
@@ -284,25 +290,34 @@ def train_smo(
 
     kernel = resolve(kernel, x)
     k = gram_matrix(kernel, x)
+    if not np.isfinite(k).all():
+        raise NumericError(
+            f"{kernel.kind} kernel matrix has non-finite entries "
+            f"(training data up to {np.abs(x).max():.3g} in magnitude)"
+        )
+    # Each step touches a few scalars and two kernel columns, so the loop
+    # runs on Python floats: numpy calls on arrays this small cost more
+    # than their arithmetic. The operations and their order are those of
+    # the vector form, so fits are bitwise the same.
+    cols = k.T.tolist()  # cols[j][r] == k[r, j]
+    labels = y.tolist()
+    cf = float(c)
     rng = np.random.default_rng(seed)
-    alpha = np.zeros(n)
-    u = np.zeros(n)  # u_i = sum_j alpha_j y_j K_ij, kept incrementally
+    alpha = [0.0] * n
+    u = [0.0] * n  # u_i = sum_j alpha_j y_j K_ij, kept incrementally
 
     converged = False
     for _ in range(max_passes):
         moved_in_sweep = False
         for _ in range(n):
-            bias = _bias(alpha, u, y, c)
-            viol = _kkt_violations(alpha, u, y, bias, c)
-            i = int(np.argmax(viol))
-            if viol[i] <= tol:
+            bias = _bias(alpha, u, labels, cf)
+            i, worst = _worst_violator(alpha, u, labels, bias, cf)
+            if worst <= tol:
                 converged = True
                 break
             moved = False
-            for j in rng.permutation(n):
-                if j == i:
-                    continue
-                if _take_step(i, int(j), alpha, u, y, k, c):
+            for j in rng.permutation(n).tolist():
+                if j != i and _take_step(i, j, alpha, u, labels, cols, cf):
                     moved = True
                     break
             if not moved:
@@ -311,14 +326,15 @@ def train_smo(
         if converged or not moved_in_sweep:
             break
 
-    bias = _bias(alpha, u, y, c)
-    residual = float(np.max(_kkt_violations(alpha, u, y, bias, c)))
-    if not np.isfinite(alpha).all() or not math.isfinite(bias):
-        raise NumericError("SMO produced non-finite multipliers")
-    keep = alpha > 0
+    bias = _bias(alpha, u, labels, cf)
+    _, residual = _worst_violator(alpha, u, labels, bias, cf)
+    a = np.array(alpha)
+    if not np.isfinite(a).all() or not math.isfinite(bias) or not math.isfinite(residual):
+        raise NumericError("SMO produced a non-finite multiplier, bias or residual")
+    keep = a > 0
     return SvmModel(
         support_vectors=x[keep],
-        coef=alpha[keep] * y[keep],
+        coef=a[keep] * y[keep],
         bias=bias,
         kernel=kernel,
         c=c,
@@ -326,28 +342,30 @@ def train_smo(
     )
 
 
-def _take_step(i, j, alpha, u, y, k, c) -> bool:
-    """Joint update of (alpha_i, alpha_j); True if alpha moved."""
-    s = y[i] * y[j]
+def _take_step(i, j, alpha, u, y, cols, c) -> bool:
+    """Joint update of (alpha_i, alpha_j) in place; True if alpha moved."""
+    ai0, aj0, yi, yj = alpha[i], alpha[j], y[i], y[j]
+    s = yi * yj
     if s < 0:
-        lo = max(0.0, alpha[j] - alpha[i])
-        hi = min(c, c + alpha[j] - alpha[i])
+        lo = max(0.0, aj0 - ai0)
+        hi = min(c, c + aj0 - ai0)
     else:
-        lo = max(0.0, alpha[i] + alpha[j] - c)
-        hi = min(c, alpha[i] + alpha[j])
+        lo = max(0.0, ai0 + aj0 - c)
+        hi = min(c, ai0 + aj0)
     if hi - lo < _STEP_EPS:
         return False
-    eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+    ki, kj = cols[i], cols[j]
+    eta = ki[i] + kj[j] - 2.0 * kj[i]
     # Gain along the constraint line for a move of alpha_j by dj:
     #   dW(dj) = de * dj - eta/2 * dj^2,  de = y_j * (E_i - E_j)
-    de = y[j] * ((u[i] - y[i]) - (u[j] - y[j]))
+    de = yj * ((u[i] - yi) - (u[j] - yj))
     if eta > _STEP_EPS:
-        aj = alpha[j] + de / eta
+        aj = aj0 + de / eta
         aj = min(max(aj, lo), hi)
     else:
         # Flat or concave-up slice: best endpoint wins.
-        d_lo = lo - alpha[j]
-        d_hi = hi - alpha[j]
+        d_lo = lo - aj0
+        d_hi = hi - aj0
         w_lo = de * d_lo - 0.5 * eta * d_lo * d_lo
         w_hi = de * d_hi - 0.5 * eta * d_hi * d_hi
         if w_lo > w_hi + _STEP_EPS:
@@ -357,15 +375,17 @@ def _take_step(i, j, alpha, u, y, k, c) -> bool:
         else:
             return False
     aj = _snap(aj, c)
-    if abs(aj - alpha[j]) < _STEP_EPS * (aj + alpha[j] + 1.0):
+    if abs(aj - aj0) < _STEP_EPS * (aj + aj0 + 1.0):
         return False
     # Compensate alpha_i from the snapped alpha_j so the equality
     # constraint is preserved to rounding error, then clear residual
     # cancellation noise at the box edges.
-    ai = _snap(alpha[i] + s * (alpha[j] - aj), c)
+    ai = _snap(ai0 + s * (aj0 - aj), c)
     ai = min(max(ai, 0.0), c)
     aj = min(max(aj, 0.0), c)
-    u += (ai - alpha[i]) * y[i] * k[:, i] + (aj - alpha[j]) * y[j] * k[:, j]
+    si = (ai - ai0) * yi
+    sj = (aj - aj0) * yj
+    u[:] = [ur + (si * kri + sj * krj) for ur, kri, krj in zip(u, ki, kj)]
     alpha[i] = ai
     alpha[j] = aj
     return True
@@ -382,14 +402,14 @@ def _snap(a: float, c: float) -> float:
 
 def _bias(alpha, u, y, c) -> float:
     """Bias from unbound vectors, else midpoint of the feasible interval."""
-    unbound = (alpha > 0.0) & (alpha < c)
-    if np.any(unbound):
-        return float(np.mean(y[unbound] - u[unbound]))
-    lower, upper = -np.inf, np.inf
-    for i in range(len(alpha)):
-        edge = y[i] - u[i]
-        needs_ge = (alpha[i] == 0.0 and y[i] > 0) or (alpha[i] == c and y[i] < 0)
-        if needs_ge:
+    free = [yr - ur for ar, ur, yr in zip(alpha, u, y) if 0.0 < ar < c]
+    if free:
+        # np.mean's pairwise sum, not Python's left-to-right one.
+        return float(np.add.reduce(free) / len(free))
+    lower, upper = -math.inf, math.inf
+    for ar, ur, yr in zip(alpha, u, y):
+        edge = yr - ur
+        if (ar == 0.0 and yr > 0) or (ar == c and yr < 0):
             lower = max(lower, edge)
         else:
             upper = min(upper, edge)
@@ -400,14 +420,27 @@ def _bias(alpha, u, y, c) -> float:
     return 0.5 * (lower + upper)
 
 
-def _kkt_violations(alpha, u, y, bias, c) -> np.ndarray:
-    yf = y * (u + bias)
-    at_lo = alpha == 0.0
-    at_hi = alpha == c
-    viol = np.abs(yf - 1.0)  # unbound: y f(x) = 1
-    viol[at_lo] = np.maximum(0.0, 1.0 - yf[at_lo])  # y f(x) >= 1
-    viol[at_hi] = np.maximum(0.0, yf[at_hi] - 1.0)  # y f(x) <= 1
-    return viol
+def _worst_violator(alpha, u, y, bias, c) -> tuple[int, float]:
+    """Index and size of the largest KKT violation, the first on ties.
+
+    A satisfied bound condition reads as a negative violation, which the
+    scan treats as the 0 it is clamped to; so the result is np.argmax and
+    np.max of the clamped violations, a NaN winning as it does there.
+    """
+    worst, at = 0.0, 0
+    for r, (ar, ur, yr) in enumerate(zip(alpha, u, y)):
+        yf = yr * (ur + bias)
+        if ar == 0.0:
+            v = 1.0 - yf  # y f(x) >= 1
+        elif ar == c:
+            v = yf - 1.0  # y f(x) <= 1
+        else:
+            v = yf - 1.0 if yf > 1.0 else 1.0 - yf  # unbound: y f(x) = 1
+        if v > worst:
+            worst, at = v, r
+        elif v != v:
+            return r, v
+    return at, worst
 
 
 def decision_function(model: SvmModel, x: np.ndarray) -> np.ndarray | float:

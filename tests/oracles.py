@@ -6,10 +6,16 @@ gradient QP solver, central finite differences, and a nearest-centroid
 classifier. None of it imports from the modules under test, except the
 reference ensemble trainers at the end: they run one expert at a time
 through the public single-pattern helpers, which gate 1 checks against
-finite differences, and so pin down what the stacked trainers compute.
+finite differences, and so pin down what the stacked trainers compute;
+and the reference SMO solver, which builds its kernel matrix with the
+package's `resolve` and `gram_matrix` and then runs the step loop in
+numpy vector form, the way `train_smo` ran it before its loop moved to
+Python floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from rootgrowth.ensembles import (
     ncl_output_error,
 )
 from rootgrowth.seeding import derive
+from rootgrowth.svm import SvmModel, gram_matrix, resolve
 
 
 def jacobi_eigh(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
@@ -236,3 +243,134 @@ def reference_mnce(x, y, cfg, lam):
             gate.w_hidden += cfg.eta_gate * ginc_h
             gate.w_out += cfg.eta_gate * ginc_out
     return nets, gate
+
+
+# ---------------------------------------------------------------------------
+# Reference SMO solver: the step loop on numpy arrays.
+
+_SNAP = 1e-10
+_STEP_EPS = 1e-12
+
+
+def train_smo_reference(x, y, kernel, c=1.0, tol=1e-3, max_passes=100, seed=0) -> SvmModel:
+    """The SMO loop in vector form: boolean-mask bias, array KKT violations
+    with an argmax, and a whole-column update of the cached outputs."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n = x.shape[0]
+    kernel = resolve(kernel, x)
+    k = gram_matrix(kernel, x)
+    rng = np.random.default_rng(seed)
+    alpha = np.zeros(n)
+    u = np.zeros(n)
+
+    converged = False
+    for _ in range(max_passes):
+        moved_in_sweep = False
+        for _ in range(n):
+            bias = _ref_bias(alpha, u, y, c)
+            viol = _ref_kkt_violations(alpha, u, y, bias, c)
+            i = int(np.argmax(viol))
+            if viol[i] <= tol:
+                converged = True
+                break
+            moved = False
+            for j in rng.permutation(n):
+                if j == i:
+                    continue
+                if _ref_take_step(i, int(j), alpha, u, y, k, c):
+                    moved = True
+                    break
+            if not moved:
+                break
+            moved_in_sweep = True
+        if converged or not moved_in_sweep:
+            break
+
+    bias = _ref_bias(alpha, u, y, c)
+    residual = float(np.max(_ref_kkt_violations(alpha, u, y, bias, c)))
+    keep = alpha > 0
+    return SvmModel(
+        support_vectors=x[keep],
+        coef=alpha[keep] * y[keep],
+        bias=bias,
+        kernel=kernel,
+        c=c,
+        kkt_residual=residual,
+    )
+
+
+def _ref_take_step(i, j, alpha, u, y, k, c) -> bool:
+    s = y[i] * y[j]
+    if s < 0:
+        lo = max(0.0, alpha[j] - alpha[i])
+        hi = min(c, c + alpha[j] - alpha[i])
+    else:
+        lo = max(0.0, alpha[i] + alpha[j] - c)
+        hi = min(c, alpha[i] + alpha[j])
+    if hi - lo < _STEP_EPS:
+        return False
+    eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+    de = y[j] * ((u[i] - y[i]) - (u[j] - y[j]))
+    if eta > _STEP_EPS:
+        aj = alpha[j] + de / eta
+        aj = min(max(aj, lo), hi)
+    else:
+        d_lo = lo - alpha[j]
+        d_hi = hi - alpha[j]
+        w_lo = de * d_lo - 0.5 * eta * d_lo * d_lo
+        w_hi = de * d_hi - 0.5 * eta * d_hi * d_hi
+        if w_lo > w_hi + _STEP_EPS:
+            aj = lo
+        elif w_hi > w_lo + _STEP_EPS:
+            aj = hi
+        else:
+            return False
+    aj = _ref_snap(aj, c)
+    if abs(aj - alpha[j]) < _STEP_EPS * (aj + alpha[j] + 1.0):
+        return False
+    ai = _ref_snap(alpha[i] + s * (alpha[j] - aj), c)
+    ai = min(max(ai, 0.0), c)
+    aj = min(max(aj, 0.0), c)
+    u += (ai - alpha[i]) * y[i] * k[:, i] + (aj - alpha[j]) * y[j] * k[:, j]
+    alpha[i] = ai
+    alpha[j] = aj
+    return True
+
+
+def _ref_snap(a, c):
+    eps = _SNAP * max(1.0, c)
+    if a < eps:
+        return 0.0
+    if a > c - eps:
+        return c
+    return a
+
+
+def _ref_bias(alpha, u, y, c) -> float:
+    unbound = (alpha > 0.0) & (alpha < c)
+    if np.any(unbound):
+        return float(np.mean(y[unbound] - u[unbound]))
+    lower, upper = -np.inf, np.inf
+    for i in range(len(alpha)):
+        edge = y[i] - u[i]
+        needs_ge = (alpha[i] == 0.0 and y[i] > 0) or (alpha[i] == c and y[i] < 0)
+        if needs_ge:
+            lower = max(lower, edge)
+        else:
+            upper = min(upper, edge)
+    if not math.isfinite(lower):
+        return 0.0 if not math.isfinite(upper) else upper
+    if not math.isfinite(upper):
+        return lower
+    return 0.5 * (lower + upper)
+
+
+def _ref_kkt_violations(alpha, u, y, bias, c) -> np.ndarray:
+    yf = y * (u + bias)
+    at_lo = alpha == 0.0
+    at_hi = alpha == c
+    viol = np.abs(yf - 1.0)
+    viol[at_lo] = np.maximum(0.0, 1.0 - yf[at_lo])
+    viol[at_hi] = np.maximum(0.0, yf[at_hi] - 1.0)
+    return viol

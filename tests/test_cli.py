@@ -1,10 +1,11 @@
 """Config parsing, subcommand behavior, exit codes, and file outputs."""
 
 import json
+import re
 
 import pytest
 
-from rootgrowth import cli
+from rootgrowth import cli, svm
 from rootgrowth.cli import (
     RunConfig,
     build_run_config,
@@ -146,6 +147,24 @@ class TestRun:
         idc = json.loads((c / "results.json").read_text())["run_id"]
         assert ida == idb
         assert ida != idc
+
+    def test_unconverged_svm_fits_warn_on_stderr(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, TINY)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().err == ""
+        smo = svm.train_smo
+        monkeypatch.setattr(svm, "train_smo", lambda *a, **k: smo(*a, **k, max_passes=1))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(
+            r"warning: pairing wt_syn:mut_syn: [1-6] of 6 SVM fits stopped with a KKT "
+            r"residual above the solver tolerance 0\.001",
+            err[0],
+        ), err[0]
+        a, b = (json.loads((tmp_path / d / "results.json").read_text()) for d in "ab")
+        assert a.keys() == b.keys()
+        assert [row.keys() for row in a["rows"]] == [row.keys() for row in b["rows"]]
 
     def test_missing_dataset_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "dataset = /nonexistent/data.csv\npairings = a:b\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rootgrowth import ensembles
+from rootgrowth import ensembles, svm
 from rootgrowth.dataset import ClassLabel, SyntheticConfig, TimeSeriesSample, Dataset, generate_synthetic
 from rootgrowth.ensembles import TrainConfig
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
@@ -280,21 +280,80 @@ class TestWindowSearch:
         assert calls == {kind: 3 * 2 for kind in ENSEMBLE_KINDS}
 
     def test_diverging_fit_names_window_and_fold(self):
-        # samples near 1e306 whose frames sum to zero leave the other
-        # samples' scores ordinary after fold centering; a step on an
-        # ordinary row with a huge learning rate then overflows the
+        # samples near 1e135 whose frames sum to zero leave the other
+        # samples' scores ordinary after fold centering, and are small
+        # enough for the fold PCA's variances to stay finite; a step on
+        # an ordinary row with a huge learning rate then overflows the
         # products on the huge rows
         rng = np.random.default_rng(2)
-        big = np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 1.0], [-3.0, -1.0], [0.0, 0.0]]) * 2.0**1016
+        big = np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 1.0], [-3.0, -1.0], [0.0, 0.0]]) * 2.0**450
         samples = []
         for i in range(8):
             label = ClassLabel.WILD if i < 4 else ClassLabel.MUTATED
             frames = big * (1 + i % 3) if i % 2 == 0 else rng.standard_normal((5, 2))
             samples.append(TimeSeriesSample(f"s{i}", label.value, label, frames))
-        spec = ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=2, eta_experts=1e6))
+        spec = ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=2, eta_experts=1e250))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=r"window \(0, 4\), fold 0: non-finite weights after epoch 0"):
                 window_search(Dataset(tuple(samples)), [spec], WindowSpec(5, 1), 2, 0, n_components=1)
+
+
+class TestSolverReports:
+    """SVM non-convergence is counted; overflowing kernels raise with context."""
+
+    def noise_dataset(self):
+        return generate_synthetic(SyntheticConfig(
+            n_per_class=8, n_frames=12, n_coords=3, base_velocity=0.0,
+            velocity_gap=0.0, noise_sd=0.5, seed=1,
+        ))
+
+    def test_unconverged_fits_counted(self, monkeypatch):
+        residuals = []
+        smo = svm.train_smo
+
+        def one_pass(*args, **kwargs):
+            model = smo(*args, **kwargs, max_passes=1)
+            residuals.append(model.kkt_residual)
+            return model
+
+        monkeypatch.setattr(svm, "train_smo", one_pass)
+        ds = self.noise_dataset()
+        specs = [ClassifierSpec(kind, c=100.0) for kind in ("linear_svm", "gaussian_svm", "sigmoid_svm")]
+        res = window_search(ds, specs, WindowSpec(3, 3), 2, 0, n_components=1)
+        assert len(residuals) == 4 * 2 * 3
+        assert res.unconverged == sum(r > svm.SMO_TOL for r in residuals) > 0
+
+    def test_unconverged_count_same_under_jobs(self):
+        # noise labels and a large C: some fits end above the tolerance
+        ds = self.noise_dataset()
+        specs = [ClassifierSpec("linear_svm", c=100.0), ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=1))]
+        serial = window_search(ds, specs, WindowSpec(3, 3), 2, 0, n_components=1)
+        parallel = window_search(ds, specs, WindowSpec(3, 3), 2, 0, n_components=1, n_jobs=2)
+        assert 0 < serial.unconverged < 4 * 2
+        assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("linear_svm", "linear kernel matrix has non-finite entries"),
+            ("gaussian_svm", "median pairwise distance is not finite"),
+        ],
+    )
+    def test_overflowing_kernel_names_window_and_fold(self, kind, message):
+        # one sample alternates between +-A along a direction: its
+        # velocity and acceleration features (2A, 4A) overflow the
+        # kernel's sum of squares while the fold PCA's variances, built
+        # from the scores (A) alone, stay finite
+        rng = np.random.default_rng(5)
+        signs = np.array([1.0, -1.0] * 3)[:, None]
+        samples = []
+        for i in range(8):
+            label = ClassLabel.WILD if i < 4 else ClassLabel.MUTATED
+            frames = signs * np.array([1.0, 2.0]) * 2.0**508 if i == 0 else rng.standard_normal((6, 2))
+            samples.append(TimeSeriesSample(f"s{i}", label.value, label, frames))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=rf"window \(0, 5\), fold \d: {message}"):
+                window_search(Dataset(tuple(samples)), [ClassifierSpec(kind)], WindowSpec(6, 1), 2, 0, n_components=1)
 
 
 class TestNoLeakage:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rootgrowth.errors import DataFormatError
+from rootgrowth.errors import DataFormatError, NumericError
 from rootgrowth.pca import PcaModel, fit, load_model, reconstruct, save_model, transform
 
 from oracles import jacobi_eigh
@@ -70,6 +70,21 @@ class TestModelValidation:
     def test_zero_variance_rejected(self):
         with pytest.raises(DataFormatError, match="variance"):
             fit(np.ones((6, 3)), 1)
+
+    def test_non_finite_eigenvalues_rejected(self):
+        # np.diff([inf, inf]) is NaN, which the ordering check lets through
+        with pytest.raises(ValueError, match="finite"):
+            PcaModel(mean=np.zeros(2), components=np.eye(2), eigenvalues=np.array([np.inf, np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            PcaModel(mean=np.zeros(2), components=np.eye(2), eigenvalues=np.array([1.0, np.nan]))
+
+    def test_overflowing_variances_raise(self):
+        # finite rows whose squared singular values overflow
+        data = np.random.default_rng(4).standard_normal((20, 3))
+        data[:5] *= 2.0**1016
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="overflow"):
+                fit(data, 2)
 
 
 class TestReconstruction:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rootgrowth.errors import ConfigError, DataFormatError
+from rootgrowth.errors import ConfigError, DataFormatError, NumericError
 from rootgrowth.svm import (
     KernelSpec,
     cross_gram,
@@ -21,7 +21,10 @@ from rootgrowth.svm import (
     train_smo,
 )
 
-from oracles import dual_value, project_box_hyperplane, qp_max_dual
+from oracles import dual_value, project_box_hyperplane, qp_max_dual, train_smo_reference
+
+# the kernels the CLI fits, with their parameters resolved from the data
+CLI_KERNELS = (KernelSpec.linear, KernelSpec.gaussian, KernelSpec.sigmoid)
 
 
 class TestKernelSpec:
@@ -207,6 +210,103 @@ class TestSmoTraining:
         bad[0, 0] = np.inf
         with pytest.raises(DataFormatError, match="non-finite"):
             train_smo(bad, np.array([-1.0, 1.0, -1.0, 1.0]), KernelSpec.linear())
+
+
+def assert_same_fit(a, b, where=""):
+    assert np.array_equal(a.coef, b.coef), where
+    assert np.array_equal(a.support_vectors, b.support_vectors), where
+    assert a.bias == b.bias, where
+    assert a.kkt_residual == b.kkt_residual, where
+
+
+class TestSmoMatchesReference:
+    """The step loop on Python floats against the vector-form loop, bit for bit."""
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(540):
+            n = int(rng.integers(2, 41))
+            d = int(rng.integers(1, 60))
+            x = rng.standard_normal((n, d)) * rng.choice([0.01, 1.0, 5.0])
+            y = rng.choice([-1.0, 1.0], size=n)
+            kernel = CLI_KERNELS[trial % 3]()
+            kw = dict(
+                c=float(rng.choice([0.1, 0.5, 1.0, 2.0, 100.0])),
+                tol=float(rng.choice([1e-3, 1e-4])),
+                seed=int(rng.integers(0, 2**31)),
+            )
+            where = f"trial {trial}: n={n} d={d} {kernel.kind} {kw}"
+            assert_same_fit(train_smo(x, y, kernel, **kw), train_smo_reference(x, y, kernel, **kw), where)
+
+    def test_duplicate_rows(self):
+        # a pair of identical rows has eta == 0: the best-endpoint branch
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            x = rng.standard_normal((12, 3))
+            x[6:] = x[:6]
+            y = np.array([1.0, -1.0] * 6)
+            y[6:] = rng.choice([-1.0, 1.0], size=6)
+            kernel = CLI_KERNELS[trial % 3]()
+            k = gram_matrix(resolve(kernel, x), x)
+            assert k[0, 0] + k[6, 6] - 2.0 * k[0, 6] <= 1e-12
+            c = float(rng.choice([0.5, 1.0, 100.0]))
+            assert_same_fit(
+                train_smo(x, y, kernel, c=c, seed=trial),
+                train_smo_reference(x, y, kernel, c=c, seed=trial),
+                f"trial {trial}",
+            )
+
+    @pytest.mark.parametrize("make_kernel", CLI_KERNELS)
+    def test_all_bound_end_state(self, make_kernel):
+        # no multiplier strictly inside (0, C): the bias is the midpoint
+        # of the feasible interval
+        x = np.random.default_rng(0).standard_normal((16, 2))
+        y = np.array([1.0, -1.0] * 8)
+        ref = train_smo_reference(x, y, make_kernel(), c=0.1)
+        assert ref.n_support and np.all(np.abs(ref.coef) == 0.1)
+        assert_same_fit(train_smo(x, y, make_kernel(), c=0.1), ref)
+
+    def test_single_pass(self):
+        rng = np.random.default_rng(32)
+        stopped = 0
+        for trial in range(30):
+            n = int(rng.integers(2, 41))
+            x = rng.standard_normal((n, 4))
+            y = rng.choice([-1.0, 1.0], size=n)
+            kernel = CLI_KERNELS[trial % 3]()
+            a = train_smo(x, y, kernel, c=100.0, max_passes=1, seed=trial)
+            b = train_smo_reference(x, y, kernel, c=100.0, max_passes=1, seed=trial)
+            assert_same_fit(a, b, f"trial {trial}")
+            stopped += a.kkt_residual > 1e-3
+        assert stopped > 0
+
+
+class TestNonFinite:
+    """Overflowing kernel values stop training instead of passing silently."""
+
+    def huge(self):
+        x = np.random.default_rng(33).standard_normal((6, 4)) * 1e160
+        return x, np.array([1.0, -1.0] * 3)
+
+    def test_linear_gram(self):
+        x, y = self.huge()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="linear kernel matrix has non-finite entries"):
+                train_smo(x, y, KernelSpec.linear())
+
+    def test_gaussian_gram_with_fixed_sigma(self):
+        x, y = self.huge()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="gaussian kernel matrix has non-finite entries"):
+                train_smo(x, y, KernelSpec.gaussian(1.0))
+
+    def test_median_distance(self):
+        x, y = self.huge()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="median pairwise distance is not finite"):
+                median_pairwise_distance(x)
+            with pytest.raises(NumericError, match="median pairwise distance is not finite"):
+                train_smo(x, y, KernelSpec.gaussian())
 
 
 class TestSerialization:
