@@ -326,13 +326,45 @@ def train_backprop(
 
 
 # ---------------------------------------------------------------------------
-# Stacked experts: one pattern step updates all M experts at once.
+# Stacked experts: one pattern step updates all M experts, and the gate,
+# at once.
 #
-# Expert weights live in wh (M, H, d+1) and wo (M, 1, H+1). Every
-# per-expert product below is the gemv or dot that `_forward` and
-# `expert_increments` make for one expert, and every increment is
-# formed in the same multiplication order, so a stacked fit is bitwise
-# the fit of M experts updated one after another.
+# Hidden layers live in wh (M+1, H, d+1), the gate's as slice M, so one
+# gemv per slice and one increment serve them all; output layers live in
+# wo (2M, H+1), M expert rows and then the gate's M rows. numpy does the
+# (d+1)-wide work and the calls whose bits the single-pattern helpers
+# fix: every np.exp (math.exp rounds differently), the per-expert output
+# dots and the gate's output and backprop gemvs (a Python dot rounds
+# differently from both). The M- and H-sized arithmetic between them
+# runs on Python floats, where a numpy call on 4 to 20 entries costs
+# more in dispatch than in arithmetic. Each expression keeps the
+# helpers' operation order, squares are d * d as numpy's ** 2, and sums
+# over experts go through `_fsum`, so a stacked fit is bitwise the fit
+# of M experts updated one after another.
+
+
+def _fsum(values):
+    """Sum of floats in numpy's order: left to right below 8 terms, and
+    numpy's own pairwise reduction from 8 up."""
+    if len(values) >= 8:
+        return float(np.add.reduce(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _normalized(values):
+    """values / sum(values) with numpy's division (0/0 is nan, not an error)."""
+    total = _fsum(values)
+    if total:
+        return [v / total for v in values]
+    return (np.array(values) / total).tolist()
+
+
+def _sigmoids(neg_pre):
+    """Logistic of pre-activations given negated, through one np.exp call."""
+    return [1.0 / (1.0 + e) for e in np.exp(neg_pre).tolist()]
 
 
 def _expert_views(wh, wo) -> tuple[MlpNetwork, ...]:
@@ -347,25 +379,54 @@ def _experts_forward(wh, wo, x_aug):
     return o_h, o
 
 
-def _experts_step(wh, wo, x_aug, o_h, o, err, eta):
-    """In-place delta-rule step of every expert on its error signal."""
-    delta_o = err * o * (1.0 - o)
-    delta_h = (wo[:, 0, :-1] * delta_o[:, None]) * o_h * (1.0 - o_h)
-    wo[:, 0, :-1] += eta * (delta_o[:, None] * o_h)
-    wo[:, 0, -1] += eta * delta_o
-    wh += eta * (delta_h[:, :, None] * x_aug)
+def _ncl_errors(t, o, lam):
+    """`ncl_output_error` of every expert, on Python floats."""
+    o_bar = _fsum(o) / len(o)
+    return [(t - v) + lam * (v - o_bar) for v in o]
 
 
-def _gate_step(gate, x_aug, go_h, o_sig, resid, eta):
-    """In-place delta-rule step of the gate on its residual (target - g)."""
-    inc_h, inc_out = gate_increments(gate.w_out, x_aug, go_h, o_sig, resid)
-    gate.w_hidden += eta * inc_h
-    gate.w_out += eta * inc_out
+def _mixture_signals(t, o, osig, lam):
+    """Gate weights g (`softmax` of the gate's sigmoid outputs), posterior
+    h (`mnce_posterior`) and every expert's `mnce_output_error`, on
+    Python floats with one np.exp call."""
+    m = len(o)
+    m1 = float(m - 1)
+    o_sum = _fsum(o)
+    o_bar = o_sum / m
+    dev = [v - o_bar for v in o]
+    dev_sum = _fsum(dev)
+    top = max(osig)
+    # softmax's exponentials, then the posterior's (with ncl_penalty)
+    e = np.exp(
+        [v - top for v in osig]
+        + [-0.5 * ((t - v) * (t - v)) + lam * (d * (dev_sum - d)) for v, d in zip(o, dev)]
+    ).tolist()
+    g = _normalized(e[:m])
+    h = _normalized([gi * v for gi, v in zip(g, e[m:])])
+    # the error signals, with mnce_penalty_grad
+    err = [
+        hi * ((t - v) - lam * (gi * ((o_sum - v) - m1 * o_bar) + gi * m1 * d))
+        for hi, gi, v, d in zip(h, g, o, dev)
+    ]
+    return g, h, err
+
+
+def _gate_backprop(gx, act, osig, resid, eta):
+    """`gate_increments` of one pattern on Python floats: the gate's hidden
+    deltas, and its output-layer increments with the learning rate
+    applied, both flat in row order. ``gx`` is the gate's (M, H) output
+    weights, ``act`` its hidden activations."""
+    d_out = [(r * s) * (1.0 - s) for r, s in zip(resid, osig)]
+    back = np.matmul(gx.T, d_out).tolist()
+    d_hid = [(b * a) * (1.0 - a) for b, a in zip(back, act)]
+    rows = [eta * (d * a) for d in d_out for a in (*act, 1.0)]
+    return d_hid, rows
 
 
 def _train_experts(x, y, cfg, lam, gate):
-    """Train the stacked experts jointly; returns (wh, wo). A given gate
-    is trained in place.
+    """Train the stacked experts jointly; returns their weights as
+    (M, H, d+1) and (M, 1, H+1) views. A given gate is trained in place
+    and left holding views of the stacks.
 
     All experts see the same shuffled pattern sequence. Without a gate
     each expert steps on its NCL error. With one, the posterior h
@@ -373,38 +434,65 @@ def _train_experts(x, y, cfg, lam, gate):
     the gate steps toward h; ``lam`` scales the correlation terms in
     both.
     """
+    m, hid = cfg.n_experts, cfg.hidden
     x_aug = _augment(x)
     nets = [
-        init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "expert-init", i))
-        for i in range(cfg.n_experts)
+        init_mlp(x.shape[1], hid, derive(cfg.seed, "expert-init", i)) for i in range(m)
     ]
-    wh = np.stack([net.w_hidden for net in nets])
-    wo = np.stack([net.w_out for net in nets])
-    m = cfg.n_experts
+    hidden = [net.w_hidden for net in nets]
+    outputs = [net.w_out for net in nets]
+    if gate is not None:
+        hidden.append(gate.w_hidden)
+        outputs.append(gate.w_out)
+    wh = np.stack(hidden)
+    wo = np.concatenate(outputs)
+    # flat views: one hidden neuron's weights per row, output weights in row order
+    wh_rows, wo_flat = wh.reshape(-1, wh.shape[2]), wo.reshape(-1)
+    inc = np.empty_like(wh_rows)
+    wo_experts = wo[:m].reshape(m, 1, hid + 1)
+    wx = wo_experts[:, :, :hid]
+    if gate is not None:
+        gate.w_hidden, gate.w_out = wh[m], wo[m:]
+        gx = gate.w_out[:, :hid]
+    eta = cfg.eta_experts
+    targets = y.tolist()
     rng = np.random.default_rng(derive(cfg.seed, "shuffle"))
     for epoch in range(cfg.epochs):
-        for idx in rng.permutation(len(y)):
-            xa, t = x_aug[idx], y[idx]
-            o_h, o = _experts_forward(wh, wo, xa)
-            o_bar = o.mean()
-            dev = o - o_bar
+        for idx in rng.permutation(len(targets)):
+            xa, t = x_aug[idx], targets[idx]
+            act = _sigmoid(np.matmul(wh, xa))
+            w = wo.tolist()
+            dots = np.matmul(wx, act[:m, :, None]).ravel().tolist()
+            if gate is not None:
+                dots += (gx @ act[m]).tolist()
+            sig = _sigmoids([-(s + wi[hid]) for s, wi in zip(dots, w)])
+            o = sig[:m]
             if gate is None:
-                err = (t - o) + lam * dev  # ncl_output_error
+                err = _ncl_errors(t, o, lam)
             else:
-                go_h, o_sig, g = _gate_forward(gate.w_hidden, gate.w_out, xa)
-                # mnce_posterior, with ncl_penalty for every expert
-                w = g * np.exp(-0.5 * (t - o) ** 2 + lam * (dev * (dev.sum() - dev)))
-                h = w / w.sum()
-                # mnce_penalty_grad for every expert
-                slope = g * ((o.sum() - o) - (m - 1) * o_bar) + g * (m - 1) * dev
-                err = h * ((t - o) - lam * slope)
-                _gate_step(gate, xa, go_h, o_sig, h - g, cfg.eta_gate)
-            _experts_step(wh, wo, xa, o_h, o, err, cfg.eta_experts)
-        if gate is None:
-            _ensure_finite(epoch, wh, wo)
-        else:
-            _ensure_finite(epoch, wh, wo, gate.w_hidden, gate.w_out)
-    return wh, wo
+                osig = sig[m:]
+                g, h, err = _mixture_signals(t, o, osig, lam)
+            a = act.tolist()
+            d_out = [(er * v) * (1.0 - v) for er, v in zip(err, o)]
+            d_hid = [
+                ((wj * d) * aj) * (1.0 - aj)
+                for d, wi, ai in zip(d_out, w, a)
+                for wj, aj in zip(wi, ai)
+            ]
+            rows = [eta * (d * aj) for d, ai in zip(d_out, a) for aj in (*ai, 1.0)]
+            if gate is not None:
+                resid = [hi - gi for hi, gi in zip(h, g)]
+                gate_hid, gate_rows = _gate_backprop(gx, a[m], osig, resid, cfg.eta_gate)
+                d_hid += gate_hid
+                rows += gate_rows
+            np.multiply.outer(d_hid, xa, out=inc)
+            inc[: m * hid] *= eta
+            if gate is not None:
+                inc[m * hid :] *= cfg.eta_gate
+            wh_rows += inc
+            wo_flat += rows
+        _ensure_finite(epoch, wh, wo)
+    return wh[:m], wo_experts
 
 
 def train_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> EnsembleModel:
@@ -434,12 +522,23 @@ def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) 
         [gncl_target(t, _experts_forward(wh, wo, xa)[1]) for xa, t in zip(x_aug, y)]
     )
     gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
+    # gate-only steps: the gate half of the mixture step, toward the shares
+    hid = cfg.hidden
+    gx, wo_flat = gate.w_out[:, :hid], gate.w_out.reshape(-1)
+    targets = shares.tolist()
     rng = np.random.default_rng(derive(cfg.seed, "gate-shuffle"))
     for epoch in range(cfg.epochs):
         for idx in rng.permutation(len(y)):
             xa = x_aug[idx]
-            go_h, o_sig, g = _gate_forward(gate.w_hidden, gate.w_out, xa)
-            _gate_step(gate, xa, go_h, o_sig, shares[idx] - g, cfg.eta_gate)
+            act = _sigmoid(gate.w_hidden @ xa)
+            bias = gate.w_out[:, hid].tolist()
+            osig = _sigmoids([-(s + b) for s, b in zip((gx @ act).tolist(), bias)])
+            top = max(osig)
+            g = _normalized(np.exp([v - top for v in osig]).tolist())
+            resid = [hk - gk for hk, gk in zip(targets[idx], g)]
+            d_hid, rows = _gate_backprop(gx, act.tolist(), osig, resid, cfg.eta_gate)
+            gate.w_hidden += cfg.eta_gate * np.multiply.outer(d_hid, xa)
+            wo_flat += rows
         _ensure_finite(epoch, gate.w_hidden, gate.w_out)
     return _freeze(EnsembleModel("gated_ncl", _expert_views(wh, wo), gate, lam, cfg))
 

@@ -277,9 +277,12 @@ def _fold_feature_sets(dataset, folds, n_components, include_velocity, include_a
     """Per fold: full-length features for all samples under that fold's PCA."""
     sets = []
     n = dataset.n_samples
-    for test_idx in folds:
+    for fold_idx, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(n), test_idx)
-        model = fit_fold_pca(dataset, train_idx, n_components)
+        try:
+            model = fit_fold_pca(dataset, train_idx, n_components)
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"fold {fold_idx}: {exc}") from None
         scores = dataset_scores(dataset, model)
         fm = features.assemble(scores, include_velocity, include_acceleration, literal_sum)
         sets.append((fm, train_idx, test_idx))
@@ -301,13 +304,12 @@ def _evaluate_window(w_idx: int):
     unconverged = 0
     for fold_idx, (fm, train_idx, test_idx) in enumerate(ctx["fold_sets"]):
         sliced = features.slice_features(fm, window)
+        x_train, x_test = sliced.values[train_idx], sliced.values[test_idx]
         for spec in ctx["specs"]:
             fit_seed = derive(ctx["seed"], "window", window[0], "fit", fold_idx, spec.kind)
             try:
-                fitted = fit_classifier(
-                    spec, sliced.values[train_idx], labels[train_idx], fit_seed
-                )
-                preds = fitted.predict(sliced.values[test_idx])
+                fitted = fit_classifier(spec, x_train, labels[train_idx], fit_seed)
+                preds = fitted.predict(x_test)
             except (ValueError, ArithmeticError) as exc:
                 raise type(exc)(f"window {window}, fold {fold_idx}: {exc}") from None
             rates[spec.label].append(error_rate(preds, labels[test_idx]))

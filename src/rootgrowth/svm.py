@@ -86,16 +86,21 @@ def median_pairwise_distance(x: np.ndarray) -> float:
     if n < 2:
         raise ValueError("need at least 2 points for a pairwise median")
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    iu = np.triu_indices(n, k=1)
+    return _median_distance(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), x, "pairwise")
+
+
+def _median_distance(d2: np.ndarray, x: np.ndarray, space: str) -> float:
+    """Median over distinct pairs of the distances whose squares are d2;
+    ``x`` is the data the distances come from."""
+    iu = np.triu_indices(len(d2), k=1)
     med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
     if not math.isfinite(med):
         raise NumericError(
-            f"median pairwise distance is not finite (points up to "
+            f"median {space} distance is not finite (points up to "
             f"{np.abs(x).max():.3g} in magnitude)"
         )
     if med <= 0:
-        raise DataFormatError("median pairwise distance is zero (duplicate points)")
+        raise DataFormatError(f"median {space} distance is zero (duplicate points)")
     return med
 
 
@@ -110,12 +115,7 @@ def resolve(spec: KernelSpec, x: np.ndarray) -> KernelSpec:
             # Median distance in the inner kernel's feature space.
             g = gram_matrix(inner, x)
             d2 = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
-            iu = np.triu_indices(x.shape[0], k=1)
-            sigma = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
-            if sigma <= 0:
-                raise DataFormatError(
-                    "median feature-space distance is zero (duplicate points)"
-                )
+            sigma = _median_distance(d2, x, "feature-space")
         return KernelSpec("gaussian_over", sigma=sigma, inner=inner)
     if out.kind == "gaussian" and out.sigma is None:
         out = replace(out, sigma=median_pairwise_distance(x))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rootgrowth import ensembles
 from rootgrowth.ensembles import (
     TRAINERS,
     EnsembleModel,
@@ -286,7 +287,7 @@ def mixed_problem(n, d, seed):
 
 # (variant, lambda): ME is the lambda = 0 mixture
 VARIANT_CASES = [
-    (variant, lam) for variant in ("ncl", "gated_ncl", "mnce") for lam in (0.0, 0.5, 1.0)
+    (variant, lam) for variant in ("ncl", "gated_ncl", "mnce") for lam in (0.0, 0.5, 0.75, 1.0)
 ] + [("me", 0.0)]
 
 REFERENCE_TRAINERS = {
@@ -307,7 +308,14 @@ class TestStackedEngineMatchesReference:
     """The stacked trainers equal the one-expert-at-a-time loops bitwise."""
 
     @pytest.mark.parametrize("variant,lam", VARIANT_CASES)
-    @pytest.mark.parametrize("m,hid,d,n", [(2, 1, 171, 9), (2, 4, 5, 7), (4, 1, 3, 11), (4, 4, 171, 13)])
+    # M = 9 sums over experts in numpy's pairwise order (8 terms and up)
+    @pytest.mark.parametrize(
+        "m,hid,d,n",
+        [
+            (2, 1, 171, 9), (2, 4, 5, 7), (4, 1, 3, 11), (4, 4, 171, 13),
+            (4, 5, 6, 8), (9, 5, 171, 10), (9, 2, 4, 12),
+        ],
+    )
     def test_weights_bitwise(self, variant, lam, m, hid, d, n):
         x, y = mixed_problem(n, d, seed=100 * m + 10 * hid + n)
         cfg = TrainConfig(n_experts=m, hidden=hid, epochs=4, seed=d + n)
@@ -322,6 +330,20 @@ class TestStackedEngineMatchesReference:
         else:
             assert np.array_equal(model.gate.w_hidden, gate.w_hidden)
             assert np.array_equal(model.gate.w_out, gate.w_out)
+
+    @pytest.mark.parametrize("m,hid,lam", [(3, 5, 0.75), (9, 3, 0.5)])
+    def test_gated_ncl_gate_stage_bitwise(self, m, hid, lam):
+        # six epochs of gate-only steps at their own rate; stage two leaves
+        # the experts as NCL trained them
+        x, y = mixed_problem(14, 23, seed=m + hid)
+        cfg = TrainConfig(n_experts=m, hidden=hid, epochs=6, eta_experts=0.3, eta_gate=0.7, seed=m)
+        model = train_gated_ncl(x, y, cfg, lam)
+        nets, gate = reference_gated_ncl(x, y, cfg, lam)
+        assert np.array_equal(model.gate.w_hidden, gate.w_hidden)
+        assert np.array_equal(model.gate.w_out, gate.w_out)
+        for got, want in zip(model.experts, train_ncl(x, y, cfg, lam).experts):
+            assert np.array_equal(got.w_hidden, want.w_hidden)
+            assert np.array_equal(got.w_out, want.w_out)
 
     @pytest.mark.parametrize("variant,lam", VARIANT_CASES)
     def test_predict_batch_matches_per_row_output(self, variant, lam):
@@ -342,6 +364,47 @@ class TestStackedEngineMatchesReference:
             predict_batch(model, probe)
 
 
+class TestPythonFloatSignals:
+    """The step's expert-sized arithmetic on Python floats equals the numpy
+    single-pattern helpers bitwise, one random pattern at a time. A last-bit
+    slip (a libm square or exp, a left-to-right sum at M >= 8) shows in
+    only a few patterns in a thousand, hence the pattern counts."""
+
+    @pytest.mark.parametrize("m", [2, 4, 9])
+    def test_ncl_errors(self, m):
+        rng = np.random.default_rng(m)
+        for trial in range(2000):
+            o, t, lam = rng.random(m), float(trial % 2), (0.0, 0.5, 0.75, 1.0)[trial % 4]
+            want = [ncl_output_error(t, o, i, lam) for i in range(m)]
+            assert ensembles._ncl_errors(t, o.tolist(), lam) == want, trial
+
+    @pytest.mark.parametrize("m,patterns", [(2, 4000), (4, 4000), (9, 8000)])
+    def test_mixture_signals(self, m, patterns):
+        rng = np.random.default_rng(m)
+        for trial in range(patterns):
+            o, osig = rng.random(m), rng.random(m)
+            t, lam = float(trial % 2), (0.0, 0.5, 0.75, 1.0)[trial % 4]
+            g_ref = softmax(osig)
+            h_ref = mnce_posterior(t, o, g_ref, lam)
+            err_ref = [mnce_output_error(t, o, g_ref, h_ref, i, lam) for i in range(m)]
+            g, h, err = ensembles._mixture_signals(t, o.tolist(), osig.tolist(), lam)
+            assert (g, h, err) == (g_ref.tolist(), h_ref.tolist(), err_ref), trial
+
+    @pytest.mark.parametrize("m,hid", [(2, 1), (4, 4), (9, 5)])
+    def test_gate_backprop(self, m, hid):
+        rng = np.random.default_rng(10 * m + hid)
+        x_aug = np.append(rng.standard_normal(6), 1.0)
+        for trial in range(200):
+            w_out = rng.uniform(-2.0, 2.0, (m, hid + 1))
+            o_h, o_sig, resid = rng.random(hid), rng.random(m), rng.uniform(-1.0, 1.0, m)
+            inc_h, inc_out = gate_increments(w_out, x_aug, o_h, o_sig, resid)
+            d_hid, rows = ensembles._gate_backprop(
+                w_out[:, :hid], o_h.tolist(), o_sig.tolist(), resid.tolist(), 0.1
+            )
+            assert np.array_equal(np.outer(d_hid, x_aug), inc_h), trial
+            assert rows == (0.1 * inc_out).ravel().tolist(), trial
+
+
 def diverging_problem():
     """Rows near 1e306 between ordinary ones: after a step on an ordinary
     row with a large learning rate, the products on the huge rows
@@ -360,6 +423,16 @@ class TestDivergence:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="non-finite weights after epoch 0"):
                 train_variant(variant, x, y, cfg, 0.5)
+
+    def test_vanishing_posterior_is_a_numeric_error(self):
+        # a huge lambda underflows every expert's posterior weight: h is
+        # 0/0 = nan as numpy divides it, and the weights turn non-finite
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((8, 3)), np.tile([0.0, 1.0], 4)
+        cfg = TrainConfig(n_experts=3, hidden=2, epochs=2, seed=1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(NumericError, match="non-finite weights after epoch 0"):
+                train_mnce(x, y, cfg, 1e6)
 
 
 class TestPrediction:

@@ -298,6 +298,22 @@ class TestWindowSearch:
                 window_search(Dataset(tuple(samples)), [spec], WindowSpec(5, 1), 2, 0, n_components=1)
 
 
+    def test_fold_pca_error_names_the_fold(self):
+        # one sample scaled by 2^1016: the squared singular values of the
+        # PCA of the fold that trains on it overflow
+        ds = toy_dataset()
+        first = ds.samples[0]
+        huge = TimeSeriesSample(first.sample_id, first.group_tag, first.label, first.frames * 2.0**1016)
+        ds = Dataset((huge,) + ds.samples[1:], pairing=ds.pairing)
+        folds = kfold_split(ds.n_samples, 2, ds.labels_unit(), 0)
+        fold = next(k for k, test_idx in enumerate(folds) if 0 not in test_idx)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=rf"^fold {fold}: PCA variances overflow"):
+                window_search(
+                    ds, [ClassifierSpec("linear_svm")], WindowSpec(5, 6), 2, 0, n_components=2
+                )
+
+
 class TestSolverReports:
     """SVM non-convergence is counted; overflowing kernels raise with context."""
 

@@ -309,6 +309,16 @@ class TestNonFinite:
                 train_smo(x, y, KernelSpec.gaussian())
 
 
+    def test_feature_space_median(self):
+        # gaussian_over resolves sigma from the inner kernel's Gram, which overflows
+        x, y = self.huge()
+        kernel = KernelSpec.gaussian_over(KernelSpec.linear())
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="median feature-space distance is not finite"):
+                resolve(kernel, x)
+            with pytest.raises(NumericError, match="median feature-space distance is not finite"):
+                train_smo(x, y, kernel)
+
 class TestSerialization:
     def test_round_trip_predictions(self, tmp_path):
         rng = np.random.default_rng(12)
