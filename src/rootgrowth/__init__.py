@@ -13,15 +13,7 @@ from .dataset import (
 )
 from .ensembles import EnsembleModel, TrainConfig, train_backprop, train_gated_ncl, train_me, train_mnce, train_ncl
 from .errors import ConfigError, DataFormatError, NumericError
-from .evaluation import (
-    ClassifierSpec,
-    CvResult,
-    SearchResult,
-    cross_validate,
-    kfold_split,
-    lambda_sweep,
-    window_search,
-)
+from .evaluation import ClassifierSpec, SearchResult, kfold_split, window_search
 from .features import FeatureLayout, FeatureMatrix, WindowSpec, assemble, slice_features, window_slices
 from .pca import PcaModel, fit, transform
 from .svm import KernelSpec, SvmModel, train_smo
@@ -32,7 +24,6 @@ __all__ = [
     "ClassLabel",
     "ClassifierSpec",
     "ConfigError",
-    "CvResult",
     "DataFormatError",
     "Dataset",
     "EnsembleModel",
@@ -48,11 +39,9 @@ __all__ = [
     "TrainConfig",
     "WindowSpec",
     "assemble",
-    "cross_validate",
     "fit",
     "generate_synthetic",
     "kfold_split",
-    "lambda_sweep",
     "load_csv",
     "slice_features",
     "split_by_pairing",

@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -27,7 +28,7 @@ from .dataset import Dataset, SyntheticConfig, generate_synthetic, load_csv, spl
 from .ensembles import TrainConfig
 from .errors import ConfigError, DataFormatError
 from .evaluation import TABLE_ORDER, ClassifierSpec, format_error_rate, window_search
-from .features import WindowSpec
+from .features import FeatureLayout, WindowSpec
 from .seeding import derive
 
 RESULTS_FORMAT = "rootgrowth-results"
@@ -81,6 +82,20 @@ class RunConfig:
                 raise ConfigError(f"unknown classifier {kind!r} in classifiers")
         if len(set(self.classifiers)) != len(self.classifiers):
             raise ConfigError("classifiers list contains duplicates")
+        # the checks of the objects each key feeds, one key at a time so
+        # that a failure names it; every key is checked, used or not
+        for key, check in _CHECKED_BY.items():
+            try:
+                check(getattr(self, key))
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
+        try:
+            FeatureLayout(
+                self.window_length, self.pca_components,
+                self.include_velocity, self.include_acceleration,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"config key 'include_acceleration': {exc}") from None
 
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.window_length, self.window_stride)
@@ -111,6 +126,20 @@ class RunConfig:
                 )
             )
         return out
+
+
+_CHECKED_BY = {
+    "svm_c": lambda v: ClassifierSpec("linear_svm", c=v),
+    "svm_sigma": lambda v: ClassifierSpec("gaussian_svm", sigma=v),
+    "svm_a": lambda v: ClassifierSpec("sigmoid_svm", a=v),
+    "svm_b": lambda v: ClassifierSpec("sigmoid_svm", b=v),
+    "lam": lambda v: ClassifierSpec("ncl", lam=v),
+    "n_experts": lambda v: TrainConfig(n_experts=v),
+    "hidden": lambda v: TrainConfig(hidden=v),
+    "epochs": lambda v: TrainConfig(epochs=v),
+    "eta_experts": lambda v: TrainConfig(eta_experts=v),
+    "eta_gate": lambda v: TrainConfig(eta_gate=v),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +430,21 @@ def run_protocol(cfg: RunConfig) -> dict:
     }
 
 
-def render_table(payload: dict) -> str:
-    """Plain-text comparison table, one row per pairing (sorted)."""
+def _table_lines(payload: dict) -> list[list[str]]:
+    """The comparison table's header and cells, one row per pairing (sorted)."""
     labels = payload["classifier_labels"]
-    header = list(labels) + ["Best Frames", "Wild Type", "Mutated Type"]
-    lines = [header]
+    lines = [list(labels) + ["Best Frames", "Wild Type", "Mutated Type"]]
     for row in sorted(payload["rows"], key=lambda r: (r["wild_tag"], r["mutated_tag"])):
         cells = [format_error_rate(row["best"][lab]["error"]) for lab in labels]
         start, end = row["row_best_frames"]
-        cells += [f"{start}-{end}", row["wild_tag"], row["mutated_tag"]]
-        lines.append(cells)
-    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
+        lines.append(cells + [f"{start}-{end}", row["wild_tag"], row["mutated_tag"]])
+    return lines
+
+
+def render_table(payload: dict) -> str:
+    """Plain-text comparison table, one row per pairing (sorted)."""
+    lines = _table_lines(payload)
+    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
     rendered = []
     for line in lines:
         rendered.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
@@ -420,10 +453,8 @@ def render_table(payload: dict) -> str:
 
 def write_results_csv(payload: dict, path: str) -> None:
     """Long-format CSV: one line per (pairing, window, classifier)."""
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(
             ["wild_tag", "mutated_tag", "classifier", "start_frame", "end_frame", "error", "is_best"]
         )
@@ -447,16 +478,8 @@ def write_results_csv(payload: dict, path: str) -> None:
 
 def write_table_csv(payload: dict, path: str) -> None:
     """The rendered comparison table as CSV (same cells as the text form)."""
-    import csv as _csv
-
-    labels = payload["classifier_labels"]
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(list(labels) + ["Best Frames", "Wild Type", "Mutated Type"])
-        for row in sorted(payload["rows"], key=lambda r: (r["wild_tag"], r["mutated_tag"])):
-            cells = [format_error_rate(row["best"][lab]["error"]) for lab in labels]
-            start, end = row["row_best_frames"]
-            writer.writerow(cells + [f"{start}-{end}", row["wild_tag"], row["mutated_tag"]])
+        csv.writer(fh).writerows(_table_lines(payload))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,8 @@ META_COLUMNS = ("sample_id", "group_tag", "label", "frame_index")
 
 
 class ClassLabel(enum.Enum):
-    """Binary class with both numeric encodings used downstream.
+    """Binary class; ``unit`` is its numeric encoding (0 wild / 1 mutated).
 
-    Margin classifiers want signed labels (-1 wild / +1 mutated),
-    sigmoid-output networks want unit labels (0 wild / 1 mutated).
     Files store only the text tokens.
     """
 
@@ -37,32 +35,12 @@ class ClassLabel(enum.Enum):
     def unit(self) -> int:
         return 0 if self is ClassLabel.WILD else 1
 
-    @property
-    def signed(self) -> int:
-        return -1 if self is ClassLabel.WILD else 1
-
     @classmethod
     def from_token(cls, token: str) -> "ClassLabel":
         try:
             return cls(token)
         except ValueError:
             raise DataFormatError(f"unknown label token {token!r}") from None
-
-    @classmethod
-    def from_unit(cls, value: int) -> "ClassLabel":
-        if value == 0:
-            return cls.WILD
-        if value == 1:
-            return cls.MUTATED
-        raise ValueError(f"unit label must be 0 or 1, got {value!r}")
-
-    @classmethod
-    def from_signed(cls, value: int) -> "ClassLabel":
-        if value == -1:
-            return cls.WILD
-        if value == 1:
-            return cls.MUTATED
-        raise ValueError(f"signed label must be -1 or +1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,15 +120,8 @@ class Dataset:
     def n_coords(self) -> int:
         return self.samples[0].n_coords
 
-    def frames_tensor(self) -> np.ndarray:
-        """Stack all samples into an (n, T, d) array."""
-        return np.stack([s.frames for s in self.samples])
-
     def labels_unit(self) -> np.ndarray:
         return np.array([s.label.unit for s in self.samples], dtype=np.int64)
-
-    def labels_signed(self) -> np.ndarray:
-        return np.array([s.label.signed for s in self.samples], dtype=np.int64)
 
     def group_tags(self) -> list[str]:
         return [s.group_tag for s in self.samples]

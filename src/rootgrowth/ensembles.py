@@ -29,8 +29,7 @@ derived from the single config seed.
 
 from __future__ import annotations
 
-import json
-import os
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,8 +59,10 @@ class TrainConfig:
             raise ValueError(f"need at least 1 hidden neuron, got {self.hidden}")
         if self.epochs < 1:
             raise ValueError(f"need at least 1 epoch, got {self.epochs}")
-        if self.eta_experts <= 0 or self.eta_gate <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("eta_experts", "eta_gate"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"{name} must be finite and positive, got {rate}")
 
 
 @dataclass
@@ -75,10 +76,6 @@ class MlpNetwork:
     def n_inputs(self) -> int:
         return self.w_hidden.shape[1] - 1
 
-    @property
-    def n_hidden(self) -> int:
-        return self.w_hidden.shape[0]
-
 
 @dataclass
 class GatingNetwork:
@@ -90,10 +87,6 @@ class GatingNetwork:
     @property
     def n_inputs(self) -> int:
         return self.w_hidden.shape[1] - 1
-
-    @property
-    def n_experts(self) -> int:
-        return self.w_out.shape[0]
 
 
 def init_mlp(n_inputs: int, hidden: int, seed: int) -> MlpNetwork:
@@ -579,24 +572,12 @@ TRAINERS: dict[str, Callable[..., EnsembleModel]] = {
 # Prediction
 
 
-def ensemble_output(model: EnsembleModel, x: np.ndarray) -> float:
-    """Combined output O_T for one input: gated sum, or mean for NCL."""
-    x = _check_point(x, model.n_inputs)
-    x_aug = np.append(x, 1.0)
-    outs = np.array(
-        [_forward(net.w_hidden, net.w_out, x_aug)[1] for net in model.experts]
-    )
-    if model.gate is None:
-        return float(outs.mean())
-    _, _, g = _gate_forward(model.gate.w_hidden, model.gate.w_out, x_aug)
-    return float(outs @ g)
-
-
 def predict_batch(model: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Combined outputs and 0/1 labels; the tie O_T = 0.5 goes to 0.
 
     One stacked pass over all rows; every row's products are the ones
-    `ensemble_output` makes, so the outputs are bitwise equal to it.
+    `mlp_forward` and `gate_forward` make for that row alone, so each
+    output is bitwise their outputs' mean, or gate-weighted sum.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_inputs:
@@ -619,64 +600,3 @@ def predict_batch(model: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, np.n
         g = e / e.sum(axis=1, keepdims=True)
         outputs = np.matmul(outs[:, None, :], g[:, :, None])[:, 0, 0]
     return outputs, (outputs > 0.5).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def save_model(model: EnsembleModel, path: str | os.PathLike) -> None:
-    """Write the ensemble as JSON (floats keep round-trip precision)."""
-    payload = {
-        "format": "ensemble-model",
-        "version": 1,
-        "variant": model.variant,
-        "lam": model.lam,
-        "config": {
-            "n_experts": model.config.n_experts,
-            "hidden": model.config.hidden,
-            "epochs": model.config.epochs,
-            "eta_experts": model.config.eta_experts,
-            "eta_gate": model.config.eta_gate,
-            "seed": model.config.seed,
-        },
-        "experts": [
-            {"w_hidden": net.w_hidden.tolist(), "w_out": net.w_out.tolist()}
-            for net in model.experts
-        ],
-        "gate": None
-        if model.gate is None
-        else {
-            "w_hidden": model.gate.w_hidden.tolist(),
-            "w_out": model.gate.w_out.tolist(),
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def load_model(path: str | os.PathLike) -> EnsembleModel:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not a JSON model file ({exc})") from None
-    if payload.get("format") != "ensemble-model" or payload.get("version") != 1:
-        raise DataFormatError(f"{path}: not a version-1 ensemble model file")
-    experts = tuple(
-        MlpNetwork(np.array(e["w_hidden"]), np.array(e["w_out"]))
-        for e in payload["experts"]
-    )
-    gate = payload["gate"]
-    if gate is not None:
-        gate = GatingNetwork(np.array(gate["w_hidden"]), np.array(gate["w_out"]))
-    return _freeze(
-        EnsembleModel(
-            variant=payload["variant"],
-            experts=experts,
-            gate=gate,
-            lam=payload["lam"],
-            config=TrainConfig(**payload["config"]),
-        )
-    )

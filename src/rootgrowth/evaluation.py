@@ -1,12 +1,11 @@
-"""Cross-validation, lambda sweeps, and sliding-window search.
+"""Classifiers, folds and the sliding-window search.
 
-`cross_validate` works at the classifier level on an already-built
-feature matrix. `window_search` owns the full pipeline: per fold it
-fits a PCA on the pooled training-fold frames only, assembles features
-for every sample, and then evaluates each window by slicing those
-per-fold features. Fold assignments are fixed once per (seed, dataset)
-and shared across every window so window comparisons are like for
-like.
+`window_search` owns the full pipeline: per fold it fits a PCA on the
+pooled training-fold frames only and projects every sample, and then
+evaluates each window on features assembled from that window's frames
+of the per-fold scores. Fold assignments are fixed once per (seed,
+dataset) and shared across every window so window comparisons are like
+for like.
 
 Windows are independent work units: with n_jobs > 1 they are evaluated
 in a process pool, and results are aggregated by window index, so the
@@ -15,6 +14,7 @@ output is identical to the serial run byte for byte.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -23,7 +23,7 @@ import numpy as np
 from . import ensembles, features, pca, svm
 from .dataset import Dataset
 from .errors import ConfigError, DataFormatError
-from .features import FeatureMatrix, WindowSpec
+from .features import WindowSpec
 from .seeding import derive
 
 SVM_KINDS = ("linear_svm", "gaussian_svm", "sigmoid_svm")
@@ -62,14 +62,18 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in SVM_KINDS + ENSEMBLE_KINDS:
             raise ConfigError(f"unknown classifier kind {self.kind!r}")
-        if self.kind in SVM_KINDS:
-            if self.c <= 0:
-                raise ConfigError(f"C must be positive, got {self.c}")
-            if self.sigma is not None and self.sigma <= 0:
-                raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        else:
-            if not np.isfinite(self.lam) or self.lam < 0:
-                raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        # every field is checked whatever the kind reads, so a value that
+        # only another kind would use is caught too
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ConfigError(f"C must be finite and positive, got {self.c}")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
 
     @property
     def label(self) -> str:
@@ -160,83 +164,6 @@ def format_error_rate(rate: float) -> str:
     return f"%{100.0 * rate:.2f}"
 
 
-@dataclass(frozen=True)
-class CvResult:
-    mean_error: float
-    fold_errors: tuple[float, ...]
-
-
-def cross_validate(
-    spec: ClassifierSpec,
-    feats: FeatureMatrix | np.ndarray,
-    labels: np.ndarray,
-    k: int = 5,
-    seed: int = 0,
-    folds: list[np.ndarray] | None = None,
-) -> CvResult:
-    """K-fold CV of one classifier on fixed features.
-
-    Pass ``folds`` to reuse an existing split (window comparisons);
-    otherwise a stratified split is derived from the seed. The mean is
-    unweighted over folds.
-    """
-    x = feats.values if isinstance(feats, FeatureMatrix) else np.asarray(feats, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).ravel()
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError(f"features {x.shape} and labels {y.shape} do not line up")
-    if folds is None:
-        folds = kfold_split(len(y), k, y, seed)
-    rates = []
-    for fold_idx, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(len(y)), test_idx)
-        try:
-            fitted = fit_classifier(
-                spec, x[train_idx], y[train_idx], derive(seed, "fit", fold_idx, spec.kind)
-            )
-            preds = fitted.predict(x[test_idx])
-        except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"fold {fold_idx}: {exc}") from None
-        rates.append(error_rate(preds, y[test_idx]))
-    return CvResult(float(np.mean(rates)), tuple(rates))
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    best_lam: float
-    best_error: float
-    errors: tuple[tuple[float, float], ...]  # (lambda, mean error) per grid point
-
-
-DEFAULT_LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-def lambda_sweep(
-    spec: ClassifierSpec,
-    feats: FeatureMatrix | np.ndarray,
-    labels: np.ndarray,
-    grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
-    k: int = 5,
-    seed: int = 0,
-) -> SweepResult:
-    """Cross-validate an ensemble spec on each lambda of the grid.
-
-    Returns the grid point minimizing mean CV error; ties break toward
-    the smaller lambda.
-    """
-    if spec.kind not in ENSEMBLE_KINDS:
-        raise ConfigError(f"lambda sweep only applies to ensembles, not {spec.kind!r}")
-    if not grid:
-        raise ConfigError("lambda grid is empty")
-    results = []
-    best = None
-    for lam in sorted(grid):
-        cv = cross_validate(replace(spec, lam=lam), feats, labels, k, seed)
-        results.append((lam, cv.mean_error))
-        if best is None or cv.mean_error < best[1]:
-            best = (lam, cv.mean_error)
-    return SweepResult(best[0], best[1], tuple(results))
-
-
 # ---------------------------------------------------------------------------
 # Window search (the full per-fold pipeline)
 
@@ -273,8 +200,9 @@ def dataset_scores(dataset: Dataset, model: pca.PcaModel) -> np.ndarray:
     )
 
 
-def _fold_feature_sets(dataset, folds, n_components, include_velocity, include_acceleration, literal_sum):
-    """Per fold: full-length features for all samples under that fold's PCA."""
+def _fold_scores(dataset, folds, n_components):
+    """Per fold: every sample's scores under that fold's PCA, (n, T, k),
+    with the fold's training and test indices."""
     sets = []
     n = dataset.n_samples
     for fold_idx, test_idx in enumerate(folds):
@@ -283,9 +211,7 @@ def _fold_feature_sets(dataset, folds, n_components, include_velocity, include_a
             model = fit_fold_pca(dataset, train_idx, n_components)
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"fold {fold_idx}: {exc}") from None
-        scores = dataset_scores(dataset, model)
-        fm = features.assemble(scores, include_velocity, include_acceleration, literal_sum)
-        sets.append((fm, train_idx, test_idx))
+        sets.append((dataset_scores(dataset, model), train_idx, test_idx))
     return sets
 
 
@@ -302,11 +228,15 @@ def _evaluate_window(w_idx: int):
     labels = ctx["labels"]
     rates: dict[str, list[float]] = {spec.label: [] for spec in ctx["specs"]}
     unconverged = 0
-    for fold_idx, (fm, train_idx, test_idx) in enumerate(ctx["fold_sets"]):
-        sliced = features.slice_features(fm, window)
-        x_train, x_test = sliced.values[train_idx], sliced.values[test_idx]
+    start, end = window
+    for fold_idx, (scores, train_idx, test_idx) in enumerate(ctx["fold_scores"]):
+        # each velocity and acceleration entry involves only frames inside
+        # the window, so these are bitwise the window's columns of the
+        # full-length features
+        x = features.assemble(scores[:, start : end + 1], *ctx["blocks"]).values
+        x_train, x_test = x[train_idx], x[test_idx]
         for spec in ctx["specs"]:
-            fit_seed = derive(ctx["seed"], "window", window[0], "fit", fold_idx, spec.kind)
+            fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
             try:
                 fitted = fit_classifier(spec, x_train, labels[train_idx], fit_seed)
                 preds = fitted.predict(x_test)
@@ -336,10 +266,10 @@ def window_search(
     """Evaluate every window of the grid with every classifier.
 
     Folds are fixed once from the seed and shared by all windows; each
-    fold's PCA is fit on its pooled training frames only, and windows
-    see slices of those per-fold features. Results cover all windows;
-    the best window per classifier is the error argmin with ties going
-    to the smallest start frame. ``unconverged`` counts the SVM fits
+    fold's PCA is fit on its pooled training frames only, and each
+    window's features are assembled from its frames of the fold's
+    scores. Results cover all windows; the best window per classifier
+    is the error argmin with ties going to the smallest start frame. ``unconverged`` counts the SVM fits
     whose KKT residual ended above the solver's default tolerance.
     """
     if not specs:
@@ -353,14 +283,12 @@ def window_search(
     windows = features.window_slices(dataset.n_frames, wspec)
     labels = dataset.labels_unit()
     folds = kfold_split(dataset.n_samples, k_folds, labels, seed)
-    fold_sets = _fold_feature_sets(
-        dataset, folds, n_components, include_velocity, include_acceleration, literal_sum
-    )
     ctx = {
         "windows": windows,
         "labels": labels,
         "specs": list(specs),
-        "fold_sets": fold_sets,
+        "fold_scores": _fold_scores(dataset, folds, n_components),
+        "blocks": (include_velocity, include_acceleration, literal_sum),
         "seed": seed,
     }
 

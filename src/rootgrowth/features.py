@@ -103,25 +103,25 @@ class WindowSpec:
 
 
 def velocity(scores: np.ndarray, literal_sum: bool = False) -> np.ndarray:
-    """Per-frame velocity of a (T, k) score matrix; (T-1, k).
+    """Per-frame velocity of (..., T, k) score matrices; (..., T-1, k).
 
     Default is the first difference. ``literal_sum`` switches to the
     additive form (sum of consecutive frames) for comparison runs.
     """
     z = np.asarray(scores, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise ValueError(f"scores must be (T>=2, k), got shape {z.shape}")
+    if z.ndim < 2 or z.shape[-2] < 2:
+        raise ValueError(f"scores must be (..., T>=2, k), got shape {z.shape}")
     if literal_sum:
-        return z[1:] + z[:-1]
-    return z[1:] - z[:-1]
+        return z[..., 1:, :] + z[..., :-1, :]
+    return z[..., 1:, :] - z[..., :-1, :]
 
 
 def acceleration(vel: np.ndarray) -> np.ndarray:
-    """Difference of consecutive velocity entries; (T-2, k)."""
+    """Difference of consecutive velocity entries; (..., T-2, k)."""
     v = np.asarray(vel, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] < 2:
-        raise ValueError(f"velocity must be (T-1>=2, k), got shape {v.shape}")
-    return v[1:] - v[:-1]
+    if v.ndim < 2 or v.shape[-2] < 2:
+        raise ValueError(f"velocity must be (..., T-1>=2, k), got shape {v.shape}")
+    return v[..., 1:, :] - v[..., :-1, :]
 
 
 def assemble(
@@ -142,11 +142,10 @@ def assemble(
     layout = FeatureLayout(t, k, include_velocity, include_acceleration)
     blocks = [z.reshape(n, t * k)]
     if include_velocity:
-        vel = np.stack([velocity(z[i], literal_sum) for i in range(n)])
+        vel = velocity(z, literal_sum)
         blocks.append(vel.reshape(n, (t - 1) * k))
         if include_acceleration:
-            acc = np.stack([acceleration(vel[i]) for i in range(n)])
-            blocks.append(acc.reshape(n, (t - 2) * k))
+            blocks.append(acceleration(vel).reshape(n, (t - 2) * k))
     return FeatureMatrix(np.hstack(blocks), layout)
 
 

@@ -11,16 +11,14 @@ the Gaussian diagonal is exactly 1.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, NumericError
 
-KERNEL_KINDS = ("linear", "gaussian", "sigmoid", "gaussian_over")
+KERNEL_KINDS = ("linear", "gaussian", "sigmoid")
 
 SMO_TOL = 1e-3  # default KKT tolerance of `train_smo`
 _SNAP = 1e-10
@@ -40,20 +38,12 @@ class KernelSpec:
     sigma: float | None = None
     a: float | None = None
     b: float = 0.0
-    inner: "KernelSpec | None" = None
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
         if self.sigma is not None and not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.kind == "gaussian_over":
-            if self.inner is None:
-                raise ConfigError("gaussian_over kernel needs an inner kernel")
-            if self.inner.kind == "gaussian_over":
-                raise ConfigError("gaussian_over kernels do not nest")
-        elif self.inner is not None:
-            raise ConfigError(f"{self.kind} kernel takes no inner kernel")
 
     @classmethod
     def linear(cls) -> "KernelSpec":
@@ -66,10 +56,6 @@ class KernelSpec:
     @classmethod
     def sigmoid(cls, a: float | None = None, b: float = 0.0) -> "KernelSpec":
         return cls("sigmoid", a=a, b=b)
-
-    @classmethod
-    def gaussian_over(cls, inner: "KernelSpec", sigma: float | None = None) -> "KernelSpec":
-        return cls("gaussian_over", sigma=sigma, inner=inner)
 
 
 def default_sigmoid_a(n_coords: int) -> float:
@@ -86,21 +72,16 @@ def median_pairwise_distance(x: np.ndarray) -> float:
     if n < 2:
         raise ValueError("need at least 2 points for a pairwise median")
     sq = np.sum(x * x, axis=1)
-    return _median_distance(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), x, "pairwise")
-
-
-def _median_distance(d2: np.ndarray, x: np.ndarray, space: str) -> float:
-    """Median over distinct pairs of the distances whose squares are d2;
-    ``x`` is the data the distances come from."""
-    iu = np.triu_indices(len(d2), k=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    iu = np.triu_indices(n, k=1)
     med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
     if not math.isfinite(med):
         raise NumericError(
-            f"median {space} distance is not finite (points up to "
+            f"median pairwise distance is not finite (points up to "
             f"{np.abs(x).max():.3g} in magnitude)"
         )
     if med <= 0:
-        raise DataFormatError(f"median {space} distance is zero (duplicate points)")
+        raise DataFormatError("median pairwise distance is zero (duplicate points)")
     return med
 
 
@@ -108,15 +89,6 @@ def resolve(spec: KernelSpec, x: np.ndarray) -> KernelSpec:
     """Fill data-dependent defaults (Gaussian sigma, sigmoid slope)."""
     x = np.asarray(x, dtype=np.float64)
     out = spec
-    if out.kind == "gaussian_over":
-        inner = resolve(out.inner, x)
-        sigma = out.sigma
-        if sigma is None:
-            # Median distance in the inner kernel's feature space.
-            g = gram_matrix(inner, x)
-            d2 = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
-            sigma = _median_distance(d2, x, "feature-space")
-        return KernelSpec("gaussian_over", sigma=sigma, inner=inner)
     if out.kind == "gaussian" and out.sigma is None:
         out = replace(out, sigma=median_pairwise_distance(x))
     if out.kind == "sigmoid" and out.a is None:
@@ -125,33 +97,10 @@ def resolve(spec: KernelSpec, x: np.ndarray) -> KernelSpec:
 
 
 def _require_resolved(spec: KernelSpec) -> None:
-    if spec.kind in ("gaussian", "gaussian_over") and spec.sigma is None:
+    if spec.kind == "gaussian" and spec.sigma is None:
         raise ConfigError("gaussian kernel sigma not resolved")
     if spec.kind == "sigmoid" and spec.a is None:
         raise ConfigError("sigmoid kernel slope not resolved")
-    if spec.kind == "gaussian_over":
-        _require_resolved(spec.inner)
-
-
-def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
-    """Evaluate the kernel on a single pair of points."""
-    _require_resolved(spec)
-    x = np.asarray(x, dtype=np.float64).ravel()
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if x.shape != z.shape:
-        raise ValueError(f"point shapes differ: {x.shape} vs {z.shape}")
-    if spec.kind == "linear":
-        return float(x @ z)
-    if spec.kind == "gaussian":
-        diff = x - z
-        return math.exp(-float(diff @ diff) / (2.0 * spec.sigma**2))
-    if spec.kind == "sigmoid":
-        return math.tanh(spec.a * float(x @ z) + spec.b)
-    kxx = kernel_eval(spec.inner, x, x)
-    kzz = kernel_eval(spec.inner, z, z)
-    kxz = kernel_eval(spec.inner, x, z)
-    d2 = max(kxx - 2.0 * kxz + kzz, 0.0)
-    return math.exp(-d2 / (2.0 * spec.sigma**2))
 
 
 def gram_matrix(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
@@ -171,11 +120,7 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "gaussian":
         d2 = _sq_distances(g)
         return np.exp(-d2 / (2.0 * spec.sigma**2))
-    if spec.kind == "sigmoid":
-        return np.tanh(spec.a * g + spec.b)
-    inner = gram_matrix(spec.inner, x)
-    d2 = _sq_distances(inner)
-    return np.exp(-d2 / (2.0 * spec.sigma**2))
+    return np.tanh(spec.a * g + spec.b)
 
 
 def cross_gram(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -194,13 +139,7 @@ def cross_gram(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
             0.0,
         )
         return np.exp(-d2 / (2.0 * spec.sigma**2))
-    if spec.kind == "sigmoid":
-        return np.tanh(spec.a * g + spec.b)
-    kxx = np.array([kernel_eval(spec.inner, xi, xi) for xi in x])
-    kzz = np.array([kernel_eval(spec.inner, zi, zi) for zi in z])
-    kxz = cross_gram(spec.inner, x, z)
-    d2 = np.maximum(kxx[:, None] + kzz[None, :] - 2.0 * kxz, 0.0)
-    return np.exp(-d2 / (2.0 * spec.sigma**2))
+    return np.tanh(spec.a * g + spec.b)
 
 
 def _mirrored(g: np.ndarray) -> np.ndarray:
@@ -214,12 +153,6 @@ def _sq_distances(g: np.ndarray) -> np.ndarray:
     d2 = diag[:, None] + diag[None, :] - 2.0 * g
     np.fill_diagonal(d2, 0.0)
     return np.maximum(d2, 0.0)
-
-
-def dual_objective(alpha: np.ndarray, y: np.ndarray, k: np.ndarray) -> float:
-    """W(a) = sum(a) - 1/2 (a*y)' K (a*y)."""
-    v = alpha * y
-    return float(alpha.sum() - 0.5 * (v @ k @ v))
 
 
 @dataclass(frozen=True)
@@ -455,82 +388,3 @@ def decision_function(model: SvmModel, x: np.ndarray) -> np.ndarray | float:
         f = model.coef @ cross_gram(model.kernel, model.support_vectors, pts)
         f = f + model.bias
     return float(f[0]) if single else f
-
-
-def predict(model: SvmModel, x: np.ndarray) -> np.ndarray | int:
-    """Signed class labels; the tie f(x) = 0 goes to the negative class."""
-    f = decision_function(model, x)
-    if np.isscalar(f):
-        return 1 if f > 0 else -1
-    return np.where(f > 0, 1, -1)
-
-
-def margin(model: SvmModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Smallest functional margin min_i y_i f(x_i) over the given points."""
-    pts = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(y, dtype=np.float64).ravel()
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("margin needs a non-empty 2-D point set")
-    if labels.shape != (pts.shape[0],):
-        raise ValueError("labels do not match points")
-    return float(np.min(labels * decision_function(model, pts)))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _kernel_to_dict(spec: KernelSpec) -> dict:
-    out = {"kind": spec.kind, "sigma": spec.sigma, "a": spec.a, "b": spec.b}
-    if spec.inner is not None:
-        out["inner"] = _kernel_to_dict(spec.inner)
-    return out
-
-
-def _kernel_from_dict(data: dict) -> KernelSpec:
-    inner = data.get("inner")
-    return KernelSpec(
-        kind=data["kind"],
-        sigma=data["sigma"],
-        a=data["a"],
-        b=data["b"],
-        inner=_kernel_from_dict(inner) if inner else None,
-    )
-
-
-def save_model(model: SvmModel, path: str | os.PathLike) -> None:
-    """Write the model as JSON (floats keep full round-trip precision)."""
-    payload = {
-        "format": "svm-model",
-        "version": 1,
-        "kernel": _kernel_to_dict(model.kernel),
-        "c": model.c,
-        "bias": model.bias,
-        "kkt_residual": model.kkt_residual,
-        "support_vectors": model.support_vectors.tolist(),
-        "coef": model.coef.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def load_model(path: str | os.PathLike) -> SvmModel:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not a JSON model file ({exc})") from None
-    if payload.get("format") != "svm-model" or payload.get("version") != 1:
-        raise DataFormatError(f"{path}: not a version-1 SVM model file")
-    sv = np.array(payload["support_vectors"], dtype=np.float64)
-    if sv.ndim == 1:  # no support vectors stored
-        sv = sv.reshape(0, 0)
-    return SvmModel(
-        support_vectors=sv,
-        coef=np.array(payload["coef"], dtype=np.float64),
-        bias=payload["bias"],
-        kernel=_kernel_from_dict(payload["kernel"]),
-        c=payload["c"],
-        kkt_residual=payload["kkt_residual"],
-    )

@@ -3,14 +3,15 @@
 Everything here is deliberately written a different way from the library
 code: loop-based differences, a cyclic Jacobi eigensolver, a projected
 gradient QP solver, central finite differences, and a nearest-centroid
-classifier. None of it imports from the modules under test, except the
-reference ensemble trainers at the end: they run one expert at a time
-through the public single-pattern helpers, which gate 1 checks against
-finite differences, and so pin down what the stacked trainers compute;
-and the reference SMO solver, which builds its kernel matrix with the
-package's `resolve` and `gram_matrix` and then runs the step loop in
-numpy vector form, the way `train_smo` ran it before its loop moved to
-Python floats.
+classifier, plus a kernel evaluated one pair of points at a time. None
+of it imports from the modules under test, except the reference
+ensemble trainers at the end and the per-row ensemble output: they run
+one expert at a time through the public single-pattern helpers, which
+gate 1 checks against finite differences, and so pin down what the
+stacked trainers and `predict_batch` compute; and the reference SMO
+solver, which builds its kernel matrix with the package's `resolve`
+and `gram_matrix` and then runs the step loop in numpy vector form, the
+way `train_smo` ran it before its loop moved to Python floats.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import numpy as np
 
 from rootgrowth.ensembles import (
+    EnsembleModel,
     expert_increments,
     gate_forward,
     gate_increments,
@@ -110,6 +112,20 @@ def qp_max_dual(k: np.ndarray, y: np.ndarray, c: float, steps: int = 5000) -> np
 def dual_value(alpha: np.ndarray, y: np.ndarray, k: np.ndarray) -> float:
     q = (y[:, None] * y[None, :]) * k
     return float(np.sum(alpha) - 0.5 * alpha @ q @ alpha)
+
+
+def kernel_eval(spec, x: np.ndarray, z: np.ndarray) -> float:
+    """A resolved kernel on a single pair of points: the per-pair
+    reference for `gram_matrix` and `cross_gram`."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    z = np.asarray(z, dtype=np.float64).ravel()
+    if spec.kind == "linear":
+        return float(x @ z)
+    if spec.kind == "gaussian":
+        diff = x - z
+        return math.exp(-float(diff @ diff) / (2.0 * spec.sigma**2))
+    assert spec.kind == "sigmoid", spec.kind
+    return math.tanh(spec.a * float(x @ z) + spec.b)
 
 
 def central_diff_grad(f, w: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -243,6 +259,16 @@ def reference_mnce(x, y, cfg, lam):
             gate.w_hidden += cfg.eta_gate * ginc_h
             gate.w_out += cfg.eta_gate * ginc_out
     return nets, gate
+
+
+def ensemble_output(model: EnsembleModel, x: np.ndarray) -> float:
+    """Combined output O_T for one input, from the single-pattern forward
+    passes: the experts' mean for NCL, else their gate-weighted sum. The
+    per-row reference for `predict_batch`."""
+    outs = np.array([mlp_forward(net, x)[1] for net in model.experts])
+    if model.gate is None:
+        return float(outs.mean())
+    return float(outs @ gate_forward(model.gate, x)[2])
 
 
 # ---------------------------------------------------------------------------

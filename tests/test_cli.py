@@ -1,5 +1,6 @@
 """Config parsing, subcommand behavior, exit codes, and file outputs."""
 
+import inspect
 import json
 import re
 
@@ -57,7 +58,8 @@ class TestConfigParsing:
         path = write_config(
             tmp_path,
             "folds = 3\n# comment line\nclassifiers = ncl, me\n"
-            "pairings = wtA:mutA, wtB:mutB\ninclude_velocity = false\n",
+            "pairings = wtA:mutA, wtB:mutB\ninclude_velocity = false\n"
+            "include_acceleration = false\n",
         )
         cfg = build_run_config(parse_config_file(path))
         assert cfg.folds == 3
@@ -231,6 +233,43 @@ class TestFailFast:
         err = capsys.readouterr().err
         assert "pairing wt_syn:mut_syn" in err and key in err
 
+    @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("svm_c = nan", "svm_c"),
+            ("svm_c = inf", "svm_c"),
+            ("svm_c = 0", "svm_c"),
+            ("svm_sigma = -1", "svm_sigma"),
+            ("svm_sigma = nan", "svm_sigma"),
+            ("svm_a = nan", "svm_a"),
+            ("svm_b = inf", "svm_b"),
+            ("lam = -0.5", "lam"),
+            ("lam = nan", "lam"),
+            ("n_experts = 1", "n_experts"),
+            ("hidden = 0", "hidden"),
+            ("epochs = 0", "epochs"),
+            ("eta_experts = nan", "eta_experts"),
+            ("eta_gate = 0", "eta_gate"),
+            ("include_velocity = false", "include_acceleration"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_classifier_and_training_keys_checked_at_parse(
+        self, tmp_path, monkeypatch, capsys, line, key, source
+    ):
+        # every key is rejected whichever classifiers are configured
+        if source == "synthetic":
+            name = line.split(" ")[0]
+            text = "".join(l + "\n" for l in TINY.strip().splitlines() if not l.startswith(name + " "))
+        else:
+            text = "dataset = d.csv\npairings = a:b\n"
+        cfg = write_config(tmp_path, text + line + "\n")
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_training_frames_bound_pca(self):
         # 2 + 2 samples in 2 folds: 2 training samples of 3 frames, so at
         # most 5 components even with 10 coordinates
@@ -310,6 +349,27 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "folds = 0\n")
         assert main(["run", "--config", cfg]) == 1
         assert "folds" in capsys.readouterr().err
+
+
+class TestBenchmarkHooks:
+    def test_wrapped_attributes_exist(self):
+        # perfbench/child.py wraps these attributes by name for its traced
+        # per-layer split; a rename would only show in a traced benchmark run
+        from rootgrowth import ensembles, evaluation, features
+
+        hooks = {
+            cli: ("load_run_config", "run_protocol", "cmd_run", "write_results_csv", "render_table",
+                  "generate_synthetic", "load_csv", "split_by_pairing", "window_search"),
+            evaluation: ("fit_fold_pca", "dataset_scores"),
+            features: ("assemble", "slice_features"),
+            svm: ("train_smo", "decision_function"),
+            ensembles: ("train_me", "predict_batch"),
+        }
+        for module, names in hooks.items():
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+        assert inspect.signature(svm.train_smo).parameters["tol"].default == svm.SMO_TOL
+        assert {"ncl", "gated_ncl", "mnce"} <= set(ensembles.TRAINERS)
 
 
 class TestRenderTable:

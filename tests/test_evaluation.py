@@ -1,4 +1,4 @@
-"""Folds, cross-validation, sweeps, window search, and leakage checks."""
+"""Folds, classifiers, window search, and leakage checks."""
 
 import numpy as np
 import pytest
@@ -8,19 +8,16 @@ from rootgrowth.dataset import ClassLabel, SyntheticConfig, TimeSeriesSample, Da
 from rootgrowth.ensembles import TrainConfig
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
 from rootgrowth.evaluation import (
-    DEFAULT_LAMBDA_GRID,
     ENSEMBLE_KINDS,
     KIND_LABELS,
     TABLE_ORDER,
     ClassifierSpec,
-    cross_validate,
     dataset_scores,
     error_rate,
     fit_classifier,
     fit_fold_pca,
     format_error_rate,
     kfold_split,
-    lambda_sweep,
     window_search,
 )
 from rootgrowth.features import WindowSpec, assemble
@@ -124,62 +121,6 @@ class TestFitClassifier:
             fitted = fit_classifier(ClassifierSpec(kind, train=train), x, y, seed=1)
             preds = fitted.predict(x)
             assert set(np.unique(preds)).issubset({0, 1}), kind
-
-
-class TestCrossValidate:
-    def test_separable_is_zero(self):
-        x, y = separable_features()
-        lay_free = cross_validate(ClassifierSpec("linear_svm"), x, y, k=5, seed=0)
-        assert lay_free.mean_error == 0.0
-        assert len(lay_free.fold_errors) == 5
-
-    def test_deterministic(self):
-        x, y = separable_features(gap=0.5, seed=5)
-        spec = ClassifierSpec("gaussian_svm")
-        a = cross_validate(spec, x, y, k=4, seed=2)
-        b = cross_validate(spec, x, y, k=4, seed=2)
-        assert a == b
-
-    def test_fold_reuse_overrides_seed(self):
-        x, y = separable_features(gap=1.0, seed=6)
-        spec = ClassifierSpec("linear_svm")
-        folds = kfold_split(len(y), 4, y, seed=7)
-        a = cross_validate(spec, x, y, k=4, seed=100, folds=folds)
-        b = cross_validate(spec, x, y, k=4, seed=200, folds=folds)
-        # same folds, same data; only the fit sub-seeds differ, and the
-        # SVM solution does not depend on them for separable data
-        assert a.fold_errors == b.fold_errors
-
-    def test_errors_name_the_fold(self):
-        x, y = separable_features(n=12, d=2)
-        spec = ClassifierSpec("ncl", lam=np.inf if False else 0.0,
-                              train=TrainConfig(n_experts=2, hidden=2, epochs=1))
-        bad = x.copy()
-        with pytest.raises(ValueError, match="fold 0"):
-            # mismatched labels length triggers inside the fold-0 fit
-            cross_validate(spec, bad, np.append(y, 1)[: len(y)] * 5, k=3, seed=0)
-
-
-class TestLambdaSweep:
-    def test_grid_and_tie_break(self):
-        x, y = separable_features(n=12, d=2)
-        spec = ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=10))
-        sweep = lambda_sweep(spec, x, y, grid=(0.5, 0.0, 0.25), k=3, seed=0)
-        assert [lam for lam, _ in sweep.errors] == [0.0, 0.25, 0.5]
-        # winner is the lexicographic minimum of (error, lambda): no grid
-        # point beats it, and equal-error points have larger lambda
-        for lam, err in sweep.errors:
-            assert (sweep.best_error, sweep.best_lam) <= (err, lam)
-        if len({err for _, err in sweep.errors}) == 1:  # holds for this toy
-            assert sweep.best_lam == 0.0
-
-    def test_svm_rejected(self):
-        x, y = separable_features(n=8, d=2)
-        with pytest.raises(ConfigError, match="ensembles"):
-            lambda_sweep(ClassifierSpec("linear_svm"), x, y)
-
-    def test_default_grid(self):
-        assert DEFAULT_LAMBDA_GRID == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def toy_dataset(signal=False, n_per_class=4, t=12, seed=0):

@@ -40,6 +40,15 @@ class TestDifferences:
             assert np.array_equal(velocity(z), velocity_loops(z))
             assert np.array_equal(acceleration(velocity(z)), acceleration_loops(z))
 
+    def test_assembled_rows_match_loop_oracle(self):
+        # the blocks are differenced over all samples at once
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((5, 9, 3)) * 10.0
+        fm = assemble(z)
+        for i in range(5):
+            want = [z[i].ravel(), velocity_loops(z[i]).ravel(), acceleration_loops(z[i]).ravel()]
+            assert np.array_equal(fm.values[i], np.concatenate(want))
+
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             velocity(np.ones((1, 2)))
@@ -96,19 +105,25 @@ class TestSlicing:
         scores = rng.standard_normal((n, t, k))
         return scores, assemble(scores, **kw)
 
-    def test_slice_equals_direct_assembly(self):
-        scores, fm = self.assemble_random()
-        for window in [(0, 4), (3, 8), (9, 11)]:
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            {},
+            {"include_acceleration": False},
+            {"literal_sum": True},
+            {"include_velocity": False, "include_acceleration": False},
+        ],
+        ids=["default", "no_acceleration", "literal_sum", "scores_only"],
+    )
+    def test_slice_equals_direct_assembly(self, blocks):
+        # window search assembles each window's features from its frames
+        # alone, relying on this identity for every block setting
+        scores, fm = self.assemble_random(**blocks)
+        for window in [(0, 4), (2, 6), (3, 8), (9, 11)]:
             sliced = slice_features(fm, window)
-            direct = assemble(scores[:, window[0] : window[1] + 1, :])
+            direct = assemble(scores[:, window[0] : window[1] + 1, :], **blocks)
             assert np.array_equal(sliced.values, direct.values)
             assert sliced.layout == direct.layout
-
-    def test_slice_without_acceleration(self):
-        scores, fm = self.assemble_random(include_acceleration=False)
-        sliced = slice_features(fm, (2, 6))
-        direct = assemble(scores[:, 2:7, :], include_acceleration=False)
-        assert np.array_equal(sliced.values, direct.values)
 
     def test_full_window_is_identity(self):
         _, fm = self.assemble_random()

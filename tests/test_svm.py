@@ -4,24 +4,19 @@ import numpy as np
 import pytest
 
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
+from rootgrowth.evaluation import ClassifierSpec, fit_classifier
 from rootgrowth.svm import (
     KernelSpec,
     cross_gram,
     decision_function,
     default_sigmoid_a,
-    dual_objective,
     gram_matrix,
-    kernel_eval,
-    load_model,
-    margin,
     median_pairwise_distance,
-    predict,
     resolve,
-    save_model,
     train_smo,
 )
 
-from oracles import dual_value, project_box_hyperplane, qp_max_dual, train_smo_reference
+from oracles import dual_value, kernel_eval, project_box_hyperplane, qp_max_dual, train_smo_reference
 
 # the kernels the CLI fits, with their parameters resolved from the data
 CLI_KERNELS = (KernelSpec.linear, KernelSpec.gaussian, KernelSpec.sigmoid)
@@ -35,15 +30,6 @@ class TestKernelSpec:
     def test_bad_sigma(self):
         with pytest.raises(ConfigError, match="sigma"):
             KernelSpec.gaussian(-1.0)
-
-    def test_gaussian_over_needs_inner(self):
-        with pytest.raises(ConfigError, match="inner"):
-            KernelSpec("gaussian_over")
-
-    def test_gaussian_over_no_nesting(self):
-        inner = KernelSpec.gaussian_over(KernelSpec.sigmoid(), sigma=1.0)
-        with pytest.raises(ConfigError, match="nest"):
-            KernelSpec.gaussian_over(inner)
 
     def test_default_slope(self):
         assert default_sigmoid_a(4) == 0.25
@@ -69,7 +55,6 @@ class TestGramMatrices:
             KernelSpec.linear(),
             KernelSpec.gaussian(1.3),
             KernelSpec.sigmoid(0.25, 0.1),
-            KernelSpec.gaussian_over(KernelSpec.sigmoid(0.25), sigma=0.8),
         ]
         for spec in specs:
             g = gram_matrix(resolve(spec, x), x)
@@ -80,9 +65,10 @@ class TestGramMatrices:
         g = gram_matrix(KernelSpec.gaussian(2.0), x)
         assert np.all(np.diag(g) == 1.0)
 
-    def test_matches_pointwise_eval(self):
+    @pytest.mark.parametrize("make_kernel", CLI_KERNELS)
+    def test_matches_pointwise_eval(self, make_kernel):
         x = self.random_points(2, n=6)
-        spec = resolve(KernelSpec.gaussian_over(KernelSpec.sigmoid(), sigma=0.9), x)
+        spec = resolve(make_kernel(), x)
         g = gram_matrix(spec, x)
         for i in range(6):
             for j in range(6):
@@ -144,7 +130,7 @@ class TestSmoTraining:
         assert model.coef == pytest.approx([-0.5, 0.5], abs=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-9)
         assert decision_function(model, np.array([1.0])) == pytest.approx(1.0, abs=1e-9)
-        assert margin(model, x, y) == pytest.approx(1.0, abs=1e-9)
+        assert np.min(y * decision_function(model, x)) == pytest.approx(1.0, abs=1e-9)
         assert model.kkt_residual <= 1e-3
 
     def test_separable_margins(self):
@@ -152,8 +138,9 @@ class TestSmoTraining:
         x = np.vstack([rng.standard_normal((10, 2)) + 4.0, rng.standard_normal((10, 2)) - 4.0])
         y = np.array([1.0] * 10 + [-1.0] * 10)
         model = train_smo(x, y, KernelSpec.linear(), c=100.0)
-        assert margin(model, x, y) >= 1.0 - 5e-3
-        assert np.array_equal(predict(model, x), y)
+        f = decision_function(model, x)
+        assert np.min(y * f) >= 1.0 - 5e-3
+        assert np.array_equal(np.where(f > 0, 1.0, -1.0), y)
 
     def test_matches_qp_oracle(self):
         rng = np.random.default_rng(9)
@@ -172,7 +159,7 @@ class TestSmoTraining:
                 for sv, co in zip(model.support_vectors, model.coef):
                     idx = int(np.argmin(np.sum((x - sv) ** 2, axis=1)))
                     alpha[idx] = abs(co)
-            w_smo = dual_objective(alpha, y, k)
+            w_smo = dual_value(alpha, y, k)
             w_ref = dual_value(qp_max_dual(k, y, c), y, k)
             assert w_smo == pytest.approx(w_ref, abs=1e-3), f"trial {trial}"
 
@@ -195,10 +182,10 @@ class TestSmoTraining:
         assert abs(model.coef.sum()) <= 1e-8 * 1.5
 
     def test_tie_goes_negative(self):
-        x = np.array([[-1.0], [1.0]])
-        y = np.array([-1.0, 1.0])
-        model = train_smo(x, y, KernelSpec.linear(), c=1.0)
-        assert predict(model, np.array([0.0])) == -1
+        # f(0) = 0 exactly on this symmetric pair; the tie is class 0
+        fitted = fit_classifier(ClassifierSpec("linear_svm"), np.array([[-1.0], [1.0]]), np.array([0, 1]), 0)
+        assert decision_function(fitted.model, np.array([0.0])) == 0.0
+        assert fitted.predict(np.array([[0.0]])).tolist() == [0]
 
     def test_input_validation(self):
         x = np.zeros((4, 2))
@@ -307,33 +294,3 @@ class TestNonFinite:
                 median_pairwise_distance(x)
             with pytest.raises(NumericError, match="median pairwise distance is not finite"):
                 train_smo(x, y, KernelSpec.gaussian())
-
-
-    def test_feature_space_median(self):
-        # gaussian_over resolves sigma from the inner kernel's Gram, which overflows
-        x, y = self.huge()
-        kernel = KernelSpec.gaussian_over(KernelSpec.linear())
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="median feature-space distance is not finite"):
-                resolve(kernel, x)
-            with pytest.raises(NumericError, match="median feature-space distance is not finite"):
-                train_smo(x, y, kernel)
-
-class TestSerialization:
-    def test_round_trip_predictions(self, tmp_path):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((10, 3))
-        y = np.where(x[:, 1] > 0, 1.0, -1.0)
-        model = train_smo(x, y, KernelSpec.gaussian_over(KernelSpec.sigmoid()), c=1.0)
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        back = load_model(path)
-        pts = rng.standard_normal((5, 3))
-        assert np.array_equal(decision_function(back, pts), decision_function(model, pts))
-        assert back.kernel == model.kernel
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(DataFormatError):
-            load_model(path)
