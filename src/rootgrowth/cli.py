@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -192,8 +192,14 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"config key {key!r}: expected true/false, got {value!r}")
 
 
-def build_run_config(raw: dict[str, str]) -> RunConfig:
-    """Typed RunConfig from raw strings; errors name the offending key."""
+def build_run_config(
+    raw: dict[str, str], *, seed: int | None = None, jobs: int | None = None, literal_sum: bool | None = None
+) -> RunConfig:
+    """Typed RunConfig from raw strings; errors name the offending key.
+
+    The flag values, where given, replace the parsed keys (a malformed
+    key is still rejected); the synthetic data seed is derived last.
+    """
     kwargs: dict = {}
     synth: dict = {}
     signal: dict[str, int] = {}
@@ -238,9 +244,14 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         synth["signal_window"] = (signal["start"], signal["end"])
     if "gap" in signal:
         synth["signal_gap"] = signal["gap"]
-    base_seed = kwargs.get("seed", 0)
-    synth["seed"] = derive(base_seed, "synthetic-data")
+    if seed is not None:
+        kwargs["seed"] = seed
+    if jobs is not None:
+        kwargs["jobs"] = jobs
+    if literal_sum:
+        kwargs["literal_sum"] = True
     try:
+        synth["seed"] = derive(kwargs.get("seed", 0), "synthetic-data")
         kwargs["synthetic"] = SyntheticConfig(**synth)
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -249,18 +260,8 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
 
 def load_run_config(args) -> RunConfig:
     raw = parse_config_file(args.config) if args.config else {}
-    cfg = build_run_config(raw)
-    overrides: dict = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-        overrides["synthetic"] = replace(
-            cfg.synthetic, seed=derive(args.seed, "synthetic-data")
-        )
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
-    if getattr(args, "literal_sum", False):
-        overrides["literal_sum"] = True
-    return replace(cfg, **overrides) if overrides else cfg
+    flags = {name: getattr(args, name, None) for name in ("seed", "jobs", "literal_sum")}
+    return build_run_config(raw, **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +294,8 @@ def _resolve_pairings(cfg: RunConfig, ds: Dataset) -> tuple[tuple[str, str], ...
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = {}
-    for f in fields(cfg):
-        if f.name == "jobs":
-            continue  # execution detail; results must not depend on it
-        value = getattr(cfg, f.name)
-        if f.name == "synthetic":
-            echo[f.name] = {
-                sf.name: (list(v) if isinstance(v := getattr(value, sf.name), tuple) else v)
-                for sf in fields(value)
-            }
-        elif isinstance(value, tuple):
-            echo[f.name] = [list(v) if isinstance(v, tuple) else v for v in value]
-        else:
-            echo[f.name] = value
+    echo = asdict(cfg)  # json writes its tuples as arrays
+    del echo["jobs"]  # execution detail; results must not depend on it
     return echo
 
 
@@ -521,13 +510,30 @@ def load_results(path: str) -> dict:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not a JSON results file ({exc})") from None
-    if payload.get("format") != RESULTS_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != RESULTS_FORMAT:
         raise DataFormatError(f"{path}: not a results file")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataFormatError(
             f"{path}: unsupported schema version {version} (expected {SCHEMA_VERSION})"
         )
+    labels, rows = payload.get("classifier_labels"), payload.get("rows")
+    if not (isinstance(labels, list) and isinstance(rows, list)):
+        raise DataFormatError(f"{path}: classifier_labels and rows must be lists")
+    for i, row in enumerate(rows):  # what _table_lines reads
+        try:
+            ok = (
+                isinstance(row["wild_tag"], str)
+                and isinstance(row["mutated_tag"], str)
+                and all(isinstance(row["best"][lab]["error"], (int, float)) for lab in labels)
+                and len(row["row_best_frames"]) == 2
+            )
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise DataFormatError(
+                f"{path}: row {i} lacks wild_tag, mutated_tag, an error per label or row_best_frames"
+            )
     return payload
 
 
@@ -555,7 +561,7 @@ def _clamp_components(k: int, rows: np.ndarray) -> int:
 
 def cmd_pca_fit(args) -> int:
     cfg = load_run_config(args)
-    k = args.components or cfg.pca_components
+    k = args.components if args.components is not None else cfg.pca_components
     ds = _stage("load-dataset", load_csv, args.dataset)
     rows = np.vstack([s.frames for s in ds.samples])
     model = _stage("pca-fit", pca.fit, rows, _clamp_components(k, rows))
@@ -603,6 +609,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(sub, *, jobs=False, literal=False):
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--seed", type=int, help="override the config seed")
@@ -637,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = subs.add_parser("pca-fit", help="fit a PCA on all frames of a dataset CSV")
     _add_common(fit)
     fit.add_argument("dataset", help="dataset CSV path")
-    fit.add_argument("--components", type=int, help="number of components")
+    fit.add_argument("--components", type=_positive_int, help="number of components")
     fit.set_defaults(func=cmd_pca_fit)
 
     exp = subs.add_parser("features-export", help="export assembled features as CSV")

@@ -8,8 +8,9 @@ dataset) and shared across every window so window comparisons are like
 for like.
 
 Windows are independent work units: with n_jobs > 1 they are evaluated
-in a process pool, and results are aggregated by window index, so the
-output is identical to the serial run byte for byte.
+in a process pool, which returns results in window order like the
+serial loop, so the output is identical to the serial run byte for
+byte.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ class ClassifierSpec:
     """One classifier column: kind plus the hyperparameters it uses.
 
     SVM kinds read c/sigma/a/b (None means resolve from data); ensemble
-    kinds read lam and the TrainConfig. ``name`` overrides the display
-    label when one kind appears twice in a comparison.
+    kinds read lam and the TrainConfig.
     """
 
     kind: str
@@ -57,7 +57,6 @@ class ClassifierSpec:
     b: float = 0.0
     lam: float = 0.5
     train: ensembles.TrainConfig = field(default_factory=ensembles.TrainConfig)
-    name: str | None = None
 
     def __post_init__(self):
         if self.kind not in SVM_KINDS + ENSEMBLE_KINDS:
@@ -77,24 +76,12 @@ class ClassifierSpec:
 
     @property
     def label(self) -> str:
-        return self.name or KIND_LABELS[self.kind]
+        return KIND_LABELS[self.kind]
 
 
-class FittedClassifier:
-    """Uniform predict-unit-labels wrapper around both model families."""
-
-    def __init__(self, spec: ClassifierSpec, model):
-        self.spec = spec
-        self.model = model
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.spec.kind in SVM_KINDS:
-            return (np.asarray(svm.decision_function(self.model, x)) > 0).astype(np.int64)
-        _, labels = ensembles.predict_batch(self.model, x)
-        return labels
-
-
-def fit_classifier(spec: ClassifierSpec, x: np.ndarray, y_unit: np.ndarray, seed: int) -> FittedClassifier:
+def fit_classifier(
+    spec: ClassifierSpec, x: np.ndarray, y_unit: np.ndarray, seed: int
+) -> svm.SvmModel | ensembles.EnsembleModel:
     """Train one classifier on unit-labeled rows; all randomness from seed."""
     x = np.asarray(x, dtype=np.float64)
     y_unit = np.asarray(y_unit, dtype=np.int64).ravel()
@@ -104,14 +91,19 @@ def fit_classifier(spec: ClassifierSpec, x: np.ndarray, y_unit: np.ndarray, seed
             "gaussian_svm": svm.KernelSpec.gaussian(spec.sigma),
             "sigmoid_svm": svm.KernelSpec.sigmoid(spec.a, spec.b),
         }[spec.kind]
-        model = svm.train_smo(x, 2 * y_unit - 1, kernel, c=spec.c, seed=seed)
-        return FittedClassifier(spec, model)
+        return svm.train_smo(x, 2 * y_unit - 1, kernel, c=spec.c, seed=seed)
     cfg = replace(spec.train, seed=seed)
     if spec.kind == "me":
-        model = ensembles.train_me(x, y_unit, cfg)
-    else:
-        model = ensembles.TRAINERS[spec.kind](x, y_unit, cfg, spec.lam)
-    return FittedClassifier(spec, model)
+        return ensembles.train_me(x, y_unit, cfg)
+    return ensembles.TRAINERS[spec.kind](x, y_unit, cfg, spec.lam)
+
+
+def predict_labels(model, x: np.ndarray) -> np.ndarray:
+    """Unit labels from either model family; a tie goes to class 0."""
+    if isinstance(model, svm.SvmModel):
+        return (np.asarray(svm.decision_function(model, x)) > 0).astype(np.int64)
+    _, labels = ensembles.predict_batch(model, x)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,6 @@ def format_error_rate(rate: float) -> str:
 class WindowResult:
     window: tuple[int, int]
     errors: dict[str, float]  # classifier label -> mean CV error
-    fold_errors: dict[str, tuple[float, ...]]
 
     def __post_init__(self):
         for label, err in self.errors.items():
@@ -238,16 +229,14 @@ def _evaluate_window(w_idx: int):
         for spec in ctx["specs"]:
             fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
             try:
-                fitted = fit_classifier(spec, x_train, labels[train_idx], fit_seed)
-                preds = fitted.predict(x_test)
+                model = fit_classifier(spec, x_train, labels[train_idx], fit_seed)
+                preds = predict_labels(model, x_test)
             except (ValueError, ArithmeticError) as exc:
                 raise type(exc)(f"window {window}, fold {fold_idx}: {exc}") from None
             rates[spec.label].append(error_rate(preds, labels[test_idx]))
-            if spec.kind in SVM_KINDS and fitted.model.kkt_residual > svm.SMO_TOL:
+            if spec.kind in SVM_KINDS and model.kkt_residual > svm.SMO_TOL:
                 unconverged += 1
-    means = {label: float(np.mean(r)) for label, r in rates.items()}
-    per_fold = {label: tuple(r) for label, r in rates.items()}
-    return w_idx, means, per_fold, unconverged
+    return {label: float(np.mean(r)) for label, r in rates.items()}, unconverged
 
 
 def window_search(
@@ -304,14 +293,12 @@ def window_search(
         ) as pool:
             raw = list(pool.map(_evaluate_window, range(len(windows))))
 
-    by_index = {w_idx: (means, per_fold) for w_idx, means, per_fold, _ in raw}
-    results = tuple(
-        WindowResult(windows[i], *by_index[i]) for i in range(len(windows))
-    )
+    # both the pool's map and the serial list keep window order
+    results = tuple(WindowResult(w, means) for w, (means, _) in zip(windows, raw))
     best: dict[str, tuple[tuple[int, int], float]] = {}
     for spec in specs:
         for res in results:  # window order, so ties keep the earliest start
             err = res.errors[spec.label]
             if spec.label not in best or err < best[spec.label][1]:
                 best[spec.label] = (res.window, err)
-    return SearchResult(results, best, sum(r[3] for r in raw))
+    return SearchResult(results, best, sum(n for _, n in raw))

@@ -146,7 +146,9 @@ def assemble(
         blocks.append(vel.reshape(n, (t - 1) * k))
         if include_acceleration:
             blocks.append(acceleration(vel).reshape(n, (t - 2) * k))
-    return FeatureMatrix(np.hstack(blocks), layout)
+    values = np.hstack(blocks)
+    values.flags.writeable = False  # fresh and unshared, so FeatureMatrix need not copy it
+    return FeatureMatrix(values, layout)
 
 
 def window_slices(n_frames: int, spec: WindowSpec) -> list[tuple[int, int]]:
@@ -192,30 +194,12 @@ def slice_features(fm: FeatureMatrix, window: tuple[int, int]) -> FeatureMatrix:
     return FeatureMatrix(fm.values[:, cols], new_layout)
 
 
-def export_csv(
-    fm: FeatureMatrix,
-    path: str | os.PathLike,
-    sample_ids: list[str] | None = None,
-    labels: list[str] | None = None,
-) -> None:
-    """Write the matrix as CSV with layout-derived column names."""
-    lead: list[str] = []
-    if sample_ids is not None:
-        if len(sample_ids) != fm.n_samples:
-            raise ValueError("sample_ids length does not match matrix rows")
-        lead.append("sample_id")
-    if labels is not None:
-        if len(labels) != fm.n_samples:
-            raise ValueError("labels length does not match matrix rows")
-        lead.append("label")
+def export_csv(fm: FeatureMatrix, path: str | os.PathLike, sample_ids: list[str], labels: list[str]) -> None:
+    """Write the matrix as CSV: sample id, label, then layout-derived columns."""
+    if not len(sample_ids) == len(labels) == fm.n_samples:
+        raise ValueError(f"need one sample id and label per matrix row ({fm.n_samples})")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(lead + fm.layout.column_names())
-        for i in range(fm.n_samples):
-            row: list[str] = []
-            if sample_ids is not None:
-                row.append(sample_ids[i])
-            if labels is not None:
-                row.append(labels[i])
-            row += [repr(float(v)) for v in fm.values[i]]
-            writer.writerow(row)
+        writer.writerow(["sample_id", "label"] + fm.layout.column_names())
+        for sample_id, label, values in zip(sample_ids, labels, fm.values):
+            writer.writerow([sample_id, label] + [repr(float(v)) for v in values])

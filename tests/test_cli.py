@@ -114,6 +114,15 @@ class TestGenerate:
         main(["generate", "--config", cfg, "--seed", "99", "--out", str(out_b)])
         assert out_a.read_bytes() != out_b.read_bytes()
 
+    def test_seed_flag_equals_seed_key(self, tmp_path):
+        flag_cfg = write_config(tmp_path, TINY)
+        key_cfg = write_config(tmp_path, TINY.replace("seed = 3", "seed = 11"), name="k.cfg")
+        out_a = tmp_path / "a.csv"
+        out_b = tmp_path / "b.csv"
+        assert main(["generate", "--config", flag_cfg, "--seed", "11", "--out", str(out_a)]) == 0
+        assert main(["generate", "--config", key_cfg, "--out", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
 
 class TestRun:
     def test_outputs_and_table(self, tmp_path, capsys):
@@ -137,6 +146,25 @@ class TestRun:
         main(["run", "--config", cfg, "--out", str(out), "--literal-sum"])
         payload = json.loads((out / "results.json").read_text())
         assert payload["config"]["literal_sum"] is True
+
+    def test_flags_equal_file_keys(self, tmp_path):
+        # flags replace the file's values before anything is derived from them
+        flag_cfg = write_config(tmp_path, TINY)
+        key_cfg = write_config(
+            tmp_path, TINY.replace("seed = 3", "seed = 7") + "literal_sum = true\n", name="k.cfg"
+        )
+        a, b = tmp_path / "flags", tmp_path / "keys"
+        flags = ["--seed", "7", "--jobs", "2", "--literal-sum"]
+        assert main(["run", "--config", flag_cfg, "--out", str(a), *flags]) == 0
+        assert main(["run", "--config", key_cfg, "--out", str(b)]) == 0
+        for name in ("results.json", "results.csv", "table.txt"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_malformed_key_rejected_under_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY.replace("seed = 3", "seed = x"))
+        assert main(["run", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "r")]) == 1
+        assert "config key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_run_id_ignores_jobs_but_tracks_seed(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
@@ -328,6 +356,27 @@ class TestReport:
         err = capsys.readouterr().err
         assert "7" in err and "expected 1" in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"format": "rootgrowth-results", "schema_version": 1},
+            "row without mutated_tag",
+        ],
+        ids=["top-level-array", "no-rows", "row-without-mutated-tag"],
+    )
+    def test_malformed_results_are_data_errors(self, tmp_path, capsys, payload):
+        if payload == "row without mutated_tag":
+            row = self.row("wtA", "mutA")
+            del row["mutated_tag"]
+            path = self.make_results(tmp_path, [row])
+        else:
+            path = tmp_path / "results.json"
+            path.write_text(json.dumps(payload))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+
     def test_table_csv_out(self, tmp_path, capsys):
         path = self.make_results(tmp_path, [self.row("wtA", "mutA")])
         out = tmp_path / "rep"
@@ -335,6 +384,23 @@ class TestReport:
         table = (out / "table.csv").read_text().splitlines()
         assert table[0] == "NCL,Best Frames,Wild Type,Mutated Type"
         assert table[1] == "%12.50,5-12,wtA,mutA"
+
+
+class TestPcaFit:
+    def test_components_honoured(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        main(["generate", "--config", write_config(tmp_path, TINY), "--out", str(data)])
+        out = tmp_path / "m.pca"
+        assert main(["pca-fit", str(data), "--components", "2", "--out", str(out)]) == 0
+        assert "2 components" in capsys.readouterr().out
+        assert out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_components_below_one_is_usage_error(self, tmp_path, capsys, value):
+        # rejected while parsing, before the (missing) CSV is read
+        missing = str(tmp_path / "missing.csv")
+        assert main(["pca-fit", missing, "--components", value]) == 1
+        assert "--components" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -349,6 +415,10 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "folds = 0\n")
         assert main(["run", "--config", cfg]) == 1
         assert "folds" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        assert main(["generate", "--seed", "-1", "--out", str(tmp_path / "d.csv")]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
 
 
 class TestBenchmarkHooks:

@@ -18,6 +18,7 @@ from rootgrowth.evaluation import (
     fit_fold_pca,
     format_error_rate,
     kfold_split,
+    predict_labels,
     window_search,
 )
 from rootgrowth.features import WindowSpec, assemble
@@ -90,9 +91,6 @@ class TestClassifierSpec:
         for kind in TABLE_ORDER:
             assert ClassifierSpec(kind).label == KIND_LABELS[kind]
 
-    def test_name_override(self):
-        assert ClassifierSpec("ncl", name="NCL-0.25").label == "NCL-0.25"
-
     def test_validation(self):
         with pytest.raises(ConfigError, match="unknown"):
             ClassifierSpec("forest")
@@ -105,21 +103,23 @@ class TestClassifierSpec:
 class TestFitClassifier:
     def test_svm_separates(self):
         x, y = separable_features()
-        fitted = fit_classifier(ClassifierSpec("linear_svm"), x, y, seed=0)
-        assert np.array_equal(fitted.predict(x), y)
+        model = fit_classifier(ClassifierSpec("linear_svm"), x, y, seed=0)
+        assert isinstance(model, svm.SvmModel)
+        assert np.array_equal(predict_labels(model, x), y)
 
     def test_ensemble_seed_threads_through(self):
         x, y = separable_features(n=8, d=2)
         spec = ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=3))
-        fitted = fit_classifier(spec, x, y, seed=123)
-        assert fitted.model.config.seed == 123
+        model = fit_classifier(spec, x, y, seed=123)
+        assert isinstance(model, ensembles.EnsembleModel)
+        assert model.config.seed == 123
 
     def test_all_kinds_produce_unit_predictions(self):
         x, y = separable_features(n=10, d=2)
         train = TrainConfig(n_experts=2, hidden=2, epochs=5)
         for kind in TABLE_ORDER:
-            fitted = fit_classifier(ClassifierSpec(kind, train=train), x, y, seed=1)
-            preds = fitted.predict(x)
+            model = fit_classifier(ClassifierSpec(kind, train=train), x, y, seed=1)
+            preds = predict_labels(model, x)
             assert set(np.unique(preds)).issubset({0, 1}), kind
 
 
@@ -151,7 +151,6 @@ class TestWindowSearch:
         assert [r.window for r in res.windows] == [(0, 4), (3, 7), (6, 10)]
         for r in res.windows:
             assert set(r.errors) == {"Linear-SVM"}
-            assert len(r.fold_errors["Linear-SVM"]) == 2
 
     def test_localized_signal_found(self):
         # stride 6 makes the off-signal window share no frames with the bump
@@ -180,16 +179,6 @@ class TestWindowSearch:
         specs = [ClassifierSpec("ncl"), ClassifierSpec("ncl")]
         with pytest.raises(ConfigError, match="duplicate"):
             window_search(ds, specs, WindowSpec(5, 3), 2, 0, n_components=2)
-
-    def test_same_kind_twice_with_names(self):
-        ds = toy_dataset()
-        train = TrainConfig(n_experts=2, hidden=2, epochs=2)
-        specs = [
-            ClassifierSpec("ncl", lam=0.0, train=train, name="NCL-0"),
-            ClassifierSpec("ncl", lam=1.0, train=train, name="NCL-1"),
-        ]
-        res = window_search(ds, specs, WindowSpec(5, 6), 2, 0, n_components=2)
-        assert set(res.best) == {"NCL-0", "NCL-1"}
 
     def test_error_names_window_and_fold(self):
         ds = toy_dataset()
@@ -348,5 +337,5 @@ class TestNoLeakage:
         spec = ClassifierSpec("gaussian_svm")
         a = fit_classifier(spec, fm.values[train_idx], y[train_idx], seed=5)
         b = fit_classifier(spec, fm.values[train_idx], y[train_idx], seed=5)
-        assert np.array_equal(a.predict(probe), b.predict(probe))
-        assert np.array_equal(a.model.coef, b.model.coef)
+        assert np.array_equal(predict_labels(a, probe), predict_labels(b, probe))
+        assert np.array_equal(a.coef, b.coef)

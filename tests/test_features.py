@@ -76,6 +76,13 @@ class TestLayout:
         with pytest.raises(ValueError, match="columns"):
             FeatureMatrix(np.zeros((2, 10)), FeatureLayout(5, 3))
 
+    def test_matrix_copies_writeable_input(self):
+        values = np.arange(12.0).reshape(2, 6)
+        fm = FeatureMatrix(values, FeatureLayout(3, 1))
+        values[0, 0] = 99.0
+        assert fm.values[0, 0] == 0.0
+        assert not fm.values.flags.writeable
+
 
 class TestWindows:
     def test_grid_defaults(self):
@@ -153,3 +160,10 @@ class TestExport:
         assert lines[0].startswith("sample_id,label,f0_pc0,f1_pc0,f2_pc0,v0_pc0")
         assert lines[1].split(",")[:2] == ["a", "wild"]
         assert len(lines) == 3
+
+    def test_one_id_and_label_per_row(self, tmp_path):
+        from rootgrowth.features import export_csv
+
+        fm = assemble(np.zeros((2, 3, 1)))
+        with pytest.raises(ValueError, match="per matrix row"):
+            export_csv(fm, tmp_path / "f.csv", ["a", "b"], ["wild"])

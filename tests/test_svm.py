@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
-from rootgrowth.evaluation import ClassifierSpec, fit_classifier
+from rootgrowth.evaluation import ClassifierSpec, fit_classifier, predict_labels
 from rootgrowth.svm import (
     KernelSpec,
     cross_gram,
@@ -183,9 +183,9 @@ class TestSmoTraining:
 
     def test_tie_goes_negative(self):
         # f(0) = 0 exactly on this symmetric pair; the tie is class 0
-        fitted = fit_classifier(ClassifierSpec("linear_svm"), np.array([[-1.0], [1.0]]), np.array([0, 1]), 0)
-        assert decision_function(fitted.model, np.array([0.0])) == 0.0
-        assert fitted.predict(np.array([[0.0]])).tolist() == [0]
+        model = fit_classifier(ClassifierSpec("linear_svm"), np.array([[-1.0], [1.0]]), np.array([0, 1]), 0)
+        assert decision_function(model, np.array([0.0])) == 0.0
+        assert predict_labels(model, np.array([[0.0]])).tolist() == [0]
 
     def test_input_validation(self):
         x = np.zeros((4, 2))
