@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -47,21 +47,21 @@ class RunConfig:
     include_velocity: bool = True
     include_acceleration: bool = True
     literal_sum: bool = False
-    window_length: int = 40
-    window_stride: int = 1
+    window_length: int = WindowSpec.length
+    window_stride: int = WindowSpec.stride
     folds: int = 5
     seed: int = 0
     jobs: int = 1
-    svm_c: float = 1.0
-    svm_sigma: float | None = None
-    svm_a: float | None = None
-    svm_b: float = 0.0
-    lam: float = 0.5
-    n_experts: int = 4
-    hidden: int = 4
-    epochs: int = 200
-    eta_experts: float = 0.15
-    eta_gate: float = 0.1
+    svm_c: float = ClassifierSpec.c
+    svm_sigma: float | None = ClassifierSpec.sigma
+    svm_a: float | None = ClassifierSpec.a
+    svm_b: float = ClassifierSpec.b
+    lam: float = ClassifierSpec.lam
+    n_experts: int = TrainConfig.n_experts
+    hidden: int = TrainConfig.hidden
+    epochs: int = TrainConfig.epochs
+    eta_experts: float = TrainConfig.eta_experts
+    eta_gate: float = TrainConfig.eta_gate
     synthetic: SyntheticConfig = SyntheticConfig()
 
     def __post_init__(self):
@@ -145,23 +145,56 @@ _CHECKED_BY = {
 # ---------------------------------------------------------------------------
 # Config file parsing (key = value lines)
 
-_INT_KEYS = {
-    "pca_components", "window_length", "window_stride", "folds", "seed", "jobs",
-    "n_experts", "hidden", "epochs",
-    "synthetic_n_per_class", "synthetic_n_frames", "synthetic_n_coords",
-    "synthetic_signal_start", "synthetic_signal_end",
+
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected true/false, got {value!r}")
+
+
+def _parse_pairings(value: str) -> tuple[tuple[str, str], ...]:
+    pairs = []
+    for tok in value.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        if ":" not in tok:
+            raise ValueError("pairings entries look like wild:mutated")
+        wild, mutated = (t.strip() for t in tok.split(":", 1))
+        pairs.append((wild, mutated))
+    return tuple(pairs)
+
+
+# one parser per field annotation (the string form, as these modules use
+# postponed annotations)
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "float | None": lambda v: None if v.lower() in ("", "none", "auto") else float(v),
+    "tuple[str, ...]": lambda v: tuple(tok.strip() for tok in v.split(",") if tok.strip()),
+    "tuple[tuple[str, str], ...]": _parse_pairings,
 }
-_FLOAT_KEYS = {
-    "svm_c", "svm_b", "lam", "eta_experts", "eta_gate",
-    "synthetic_base_velocity", "synthetic_velocity_gap",
-    "synthetic_acceleration_gap", "synthetic_noise_sd",
-    "synthetic_intercept_sd", "synthetic_ripple_gap", "synthetic_signal_gap",
-}
-_OPT_FLOAT_KEYS = {"svm_sigma", "svm_a"}
-_BOOL_KEYS = {"include_velocity", "include_acceleration", "literal_sum"}
-_STR_KEYS = {"dataset", "synthetic_wild_tag", "synthetic_mutated_tag"}
-_LIST_KEYS = {"classifiers", "pairings"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _OPT_FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS | _LIST_KEYS
+
+
+def _key_parsers() -> dict:
+    """Config key -> parser: every RunConfig field but ``synthetic``, and
+    every SyntheticConfig field as ``synthetic_<name>`` but the derived
+    ``seed`` and ``signal_window`` (set by its start and end)."""
+    types = {f.name: f.type for f in fields(RunConfig) if f.name != "synthetic"}
+    for f in fields(SyntheticConfig):
+        if f.name not in ("seed", "signal_window"):
+            types[f"synthetic_{f.name}"] = f.type
+    types["synthetic_signal_start"] = types["synthetic_signal_end"] = "int"
+    return {key: _PARSERS[t] for key, t in types.items()}
+
+
+# built at import, so a field whose annotation has no parser fails here
+_KEY_PARSERS = _key_parsers()
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -175,7 +208,7 @@ def parse_config_file(path: str) -> dict[str, str]:
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in text.split("=", 1))
-            if key not in _ALL_KEYS:
+            if key not in _KEY_PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in raw:
                 raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -183,67 +216,31 @@ def parse_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"config key {key!r}: expected true/false, got {value!r}")
-
-
 def build_run_config(
     raw: dict[str, str], *, seed: int | None = None, jobs: int | None = None, literal_sum: bool | None = None
 ) -> RunConfig:
-    """Typed RunConfig from raw strings; errors name the offending key.
+    """Typed RunConfig from the raw strings of `parse_config_file`; errors
+    name the offending key.
 
     The flag values, where given, replace the parsed keys (a malformed
     key is still rejected); the synthetic data seed is derived last.
     """
     kwargs: dict = {}
     synth: dict = {}
-    signal: dict[str, int] = {}
     for key, value in raw.items():
         try:
-            if key in _INT_KEYS:
-                parsed: object = int(value)
-            elif key in _FLOAT_KEYS:
-                parsed = float(value)
-            elif key in _OPT_FLOAT_KEYS:
-                parsed = None if value.lower() in ("", "none", "auto") else float(value)
-            elif key in _BOOL_KEYS:
-                parsed = _parse_bool(key, value)
-            elif key == "classifiers":
-                parsed = tuple(tok.strip() for tok in value.split(",") if tok.strip())
-            elif key == "pairings":
-                pairs = []
-                for tok in value.split(","):
-                    tok = tok.strip()
-                    if not tok:
-                        continue
-                    if ":" not in tok:
-                        raise ValueError("pairings entries look like wild:mutated")
-                    wild, mutated = (t.strip() for t in tok.split(":", 1))
-                    pairs.append((wild, mutated))
-                parsed = tuple(pairs)
-            else:
-                parsed = value
+            parsed = _KEY_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
-        if key.startswith("synthetic_signal_"):
-            signal[key.removeprefix("synthetic_signal_")] = parsed  # type: ignore[assignment]
-        elif key.startswith("synthetic_"):
+        if key.startswith("synthetic_"):
             synth[key.removeprefix("synthetic_")] = parsed
         else:
             kwargs[key] = parsed
-    if "start" in signal or "end" in signal:
-        if not ("start" in signal and "end" in signal):
-            raise ConfigError(
-                "synthetic_signal_start and synthetic_signal_end must be set together"
-            )
-        synth["signal_window"] = (signal["start"], signal["end"])
-    if "gap" in signal:
-        synth["signal_gap"] = signal["gap"]
+    start, end = synth.pop("signal_start", None), synth.pop("signal_end", None)
+    if (start is None) != (end is None):
+        raise ConfigError("synthetic_signal_start and synthetic_signal_end must be set together")
+    if start is not None:
+        synth["signal_window"] = (start, end)
     if seed is not None:
         kwargs["seed"] = seed
     if jobs is not None:
@@ -315,7 +312,7 @@ def check_runnable(cfg: RunConfig, n_frames: int, n_coords: int, class_sizes) ->
     """
     n = int(sum(class_sizes))
     train_frames = (n - -(-n // cfg.folds)) * n_frames
-    limit = min(n_coords, train_frames - 1)
+    limit = pca.max_components(train_frames, n_coords)
     if cfg.pca_components > limit:
         raise ConfigError(
             f"pca_components = {cfg.pca_components} cannot run: at most {limit} for "
@@ -553,7 +550,7 @@ def cmd_report(args) -> int:
 
 def _clamp_components(k: int, rows: np.ndarray) -> int:
     """Debug utilities cap the request at the data rank instead of failing."""
-    k_eff = min(k, rows.shape[1], rows.shape[0] - 1)
+    k_eff = min(k, pca.max_components(*rows.shape))
     if k_eff != k:
         print(f"note: clamping components {k} -> {k_eff} for data of shape {rows.shape}")
     return k_eff
@@ -619,9 +616,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub, *, jobs=False, literal=False):
+def _add_common(sub, *, seed=False, jobs=False, literal=False):
     sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--seed", type=int, help="override the config seed")
+    if seed:
+        sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--out", help="output path (file or directory by subcommand)")
     if jobs:
         sub.add_argument("--jobs", type=int, help="parallel worker processes")
@@ -638,11 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("generate", help="write a synthetic dataset CSV + manifest")
-    _add_common(gen)
+    _add_common(gen, seed=True)
     gen.set_defaults(func=cmd_generate)
 
     run = subs.add_parser("run", help="run the full window-search protocol")
-    _add_common(run, jobs=True, literal=True)
+    _add_common(run, seed=True, jobs=True, literal=True)
     run.set_defaults(func=cmd_run)
 
     rep = subs.add_parser("report", help="render a results file as a table")

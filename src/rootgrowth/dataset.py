@@ -185,7 +185,6 @@ def load_csv(path: str | os.PathLike) -> Dataset:
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         _check_header(path, header)
-        d = len(header) - len(META_COLUMNS)
 
         samples: list[TimeSeriesSample] = []
         cur_id: str | None = None
@@ -239,8 +238,6 @@ def load_csv(path: str | os.PathLike) -> Dataset:
     ids = [s.sample_id for s in samples]
     if ids != sorted(ids):
         raise DataFormatError(f"{path}: rows are not sorted by sample_id")
-    if any(s.n_coords != d for s in samples):
-        raise DataFormatError(f"{path}: inconsistent coordinate count")
     pairing = None
     manifest = _manifest_path(path)
     if os.path.exists(manifest):

@@ -29,6 +29,7 @@ from .seeding import derive
 
 SVM_KINDS = ("linear_svm", "gaussian_svm", "sigmoid_svm")
 ENSEMBLE_KINDS = ("ncl", "me", "gated_ncl", "mnce")
+# in the column order of reports, minimum-error kernel machines first
 KIND_LABELS = {
     "sigmoid_svm": "Sigmoid-SVM",
     "gaussian_svm": "Gaussian-SVM",
@@ -38,8 +39,7 @@ KIND_LABELS = {
     "gated_ncl": "Gated-NCL",
     "ncl": "NCL",
 }
-# Column order used by reports, minimum-error kernel machines first.
-TABLE_ORDER = ("sigmoid_svm", "gaussian_svm", "linear_svm", "mnce", "me", "gated_ncl", "ncl")
+TABLE_ORDER = tuple(KIND_LABELS)
 
 
 @dataclass(frozen=True)

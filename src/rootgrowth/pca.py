@@ -64,10 +64,15 @@ class PcaModel:
         return self.components.shape[1]
 
 
+def max_components(n_rows: int, n_cols: int) -> int:
+    """The most directions a PCA can extract from n_rows x n_cols data."""
+    return min(n_rows - 1, n_cols)
+
+
 def fit(data: np.ndarray, n_components: int) -> PcaModel:
     """Fit a PCA with ``n_components`` directions on rows of ``data``.
 
-    Requires 1 <= n_components <= min(n - 1, d) and non-degenerate
+    Requires 1 <= n_components <= max_components(n, d) and non-degenerate
     data (identical rows carry no directions to extract).
     """
     x = np.asarray(data, dtype=np.float64)
@@ -76,7 +81,7 @@ def fit(data: np.ndarray, n_components: int) -> PcaModel:
     if not np.isfinite(x).all():
         raise DataFormatError("data contains non-finite values")
     n, d = x.shape
-    limit = min(n - 1, d)
+    limit = max_components(n, d)
     if not 1 <= n_components <= limit:
         raise ValueError(
             f"n_components must be in [1, {limit}] for data of shape {x.shape}, "

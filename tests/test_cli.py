@@ -1,5 +1,6 @@
 """Config parsing, subcommand behavior, exit codes, and file outputs."""
 
+import dataclasses
 import inspect
 import json
 import re
@@ -92,6 +93,66 @@ class TestConfigParsing:
     def test_pairing_syntax(self):
         with pytest.raises(ConfigError, match="pairings"):
             build_run_config({"pairings": "wtA-mutA"})
+
+    def test_every_key_lands_in_its_field(self, tmp_path):
+        # every key at a valid non-default value; synthetic_* keys land in
+        # the SyntheticConfig field of that name
+        expected = {
+            "dataset": ("tracks.csv", "tracks.csv"),
+            "pairings": ("wtA:mutA, wtB:mutB", (("wtA", "mutA"), ("wtB", "mutB"))),
+            "classifiers": ("ncl, me", ("ncl", "me")),
+            "pca_components": ("7", 7),
+            "include_velocity": ("no", False),
+            "include_acceleration": ("off", False),
+            "literal_sum": ("yes", True),
+            "window_length": ("12", 12),
+            "window_stride": ("3", 3),
+            "folds": ("3", 3),
+            "seed": ("9", 9),
+            "jobs": ("2", 2),
+            "svm_c": ("2.5", 2.5),
+            "svm_sigma": ("0.7", 0.7),
+            "svm_a": ("0.3", 0.3),
+            "svm_b": ("-0.2", -0.2),
+            "lam": ("0.25", 0.25),
+            "n_experts": ("3", 3),
+            "hidden": ("6", 6),
+            "epochs": ("17", 17),
+            "eta_experts": ("0.2", 0.2),
+            "eta_gate": ("0.05", 0.05),
+            "synthetic_n_per_class": ("6", 6),
+            "synthetic_n_frames": ("50", 50),
+            "synthetic_n_coords": ("4", 4),
+            "synthetic_base_velocity": ("0.01", 0.01),
+            "synthetic_velocity_gap": ("0.002", 0.002),
+            "synthetic_acceleration_gap": ("0.0001", 0.0001),
+            "synthetic_noise_sd": ("0.03", 0.03),
+            "synthetic_intercept_sd": ("0.5", 0.5),
+            "synthetic_ripple_gap": ("0.01", 0.01),
+            "synthetic_signal_gap": ("0.3", 0.3),
+            "synthetic_wild_tag": ("wtX", "wtX"),
+            "synthetic_mutated_tag": ("mutX", "mutX"),
+        }
+        text = "".join(f"{key} = {raw}\n" for key, (raw, _) in expected.items())
+        text += "synthetic_signal_start = 5\nsynthetic_signal_end = 20\n"
+        cfg = build_run_config(parse_config_file(write_config(tmp_path, text)))
+        for key, (_, value) in expected.items():
+            if key.startswith("synthetic_"):
+                assert getattr(cfg.synthetic, key.removeprefix("synthetic_")) == value, key
+            else:
+                assert getattr(cfg, key) == value, key
+        assert cfg.synthetic.signal_window == (5, 20)
+        # no field keeps its default, so the table above misses no key
+        default = RunConfig()
+        for obj, base in ((cfg, default), (cfg.synthetic, default.synthetic)):
+            for f in dataclasses.fields(obj):
+                assert getattr(obj, f.name) != getattr(base, f.name), f.name
+
+    @pytest.mark.parametrize("key", ["synthetic_seed", "synthetic_signal_window", "synthetic"])
+    def test_derived_fields_are_not_keys(self, tmp_path, key):
+        path = write_config(tmp_path, f"seed = 1\n{key} = 3\n")
+        with pytest.raises(ConfigError, match=f":2: unknown config key '{key}'"):
+            parse_config_file(path)
 
 
 class TestGenerate:
@@ -419,6 +480,12 @@ class TestExitCodes:
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         assert main(["generate", "--seed", "-1", "--out", str(tmp_path / "d.csv")]) == 1
         assert "seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pca-fit", "features-export"])
+    def test_seed_flag_only_where_randomness_is_drawn(self, tmp_path, capsys, command):
+        # rejected while parsing, before the (missing) CSV is read
+        assert main([command, str(tmp_path / "missing.csv"), "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestBenchmarkHooks:
