@@ -265,12 +265,25 @@ def load_run_config(args) -> RunConfig:
 # Pipeline pieces
 
 
+_STAGE_ERRORS = (ValueError, ArithmeticError, OSError)
+
+
 def _stage(name: str, fn, *args, **kwargs):
-    """Run one pipeline stage; annotate any module error with its name."""
+    """Run one pipeline stage; annotate any module error with its name.
+
+    The error keeps its class when that class takes a single message.
+    Otherwise (UnicodeDecodeError takes five arguments) it becomes the
+    caught base it belongs to, which `main` maps to the same exit code.
+    """
     try:
         return fn(*args, **kwargs)
-    except (ValueError, ArithmeticError, OSError) as exc:
-        raise type(exc)(f"{name}: {exc}") from None
+    except _STAGE_ERRORS as exc:
+        message = f"{name}: {exc}"
+        try:
+            annotated = type(exc)(message)
+        except TypeError:
+            annotated = next(base for base in _STAGE_ERRORS if isinstance(exc, base))(message)
+        raise annotated from None
 
 
 def _resolve_dataset(cfg: RunConfig) -> Dataset:

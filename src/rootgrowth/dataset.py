@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -177,62 +179,15 @@ def load_csv(path: str | os.PathLike) -> Dataset:
 
     Validates the header, per-sample frame_index contiguity, shared T
     and d, numeric parse of every value, and presence of both classes.
+    Fields follow `csv` quoting, values parse as Python `float`, and the
+    first bad line in file order is the one reported.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        _check_header(path, header)
-
-        samples: list[TimeSeriesSample] = []
-        cur_id: str | None = None
-        cur_tag = ""
-        cur_label = ClassLabel.WILD
-        cur_rows: list[list[float]] = []
-        seen_ids: set[str] = set()
-
-        def finish():
-            if cur_id is not None:
-                samples.append(
-                    TimeSeriesSample(cur_id, cur_tag, cur_label, np.array(cur_rows))
-                )
-
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            sid, tag, token, idx_text = row[:4]
-            if sid != cur_id:
-                finish()
-                if sid in seen_ids:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: rows for sample {sid!r} are not contiguous"
-                    )
-                seen_ids.add(sid)
-                cur_id, cur_tag, cur_label, cur_rows = sid, tag, ClassLabel.from_token(token), []
-            elif tag != cur_tag or token != cur_label.value:
-                raise DataFormatError(
-                    f"{path}:{lineno}: sample {sid!r} changes group_tag or label mid-file"
-                )
-            if idx_text != str(len(cur_rows)):
-                raise DataFormatError(
-                    f"{path}:{lineno}: frame_index {idx_text!r} out of order "
-                    f"(expected {len(cur_rows)})"
-                )
-            try:
-                values = [float(v) for v in row[4:]]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric coordinate value"
-                ) from None
-            if not all(math.isfinite(v) for v in values):
-                raise DataFormatError(f"{path}:{lineno}: non-finite coordinate value")
-            cur_rows.append(values)
-        finish()
-
+    try:
+        samples = _load_samples(path, _parse_block)
+        if samples is None:
+            samples = _load_samples(path, _parse_rows)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not samples:
         raise DataFormatError(f"{path}: no data rows")
     ids = [s.sample_id for s in samples]
@@ -245,6 +200,136 @@ def load_csv(path: str | os.PathLike) -> Dataset:
         if "wild_tag" in meta and "mutated_tag" in meta:
             pairing = (meta["wild_tag"], meta["mutated_tag"])
     return Dataset(tuple(samples), pairing=pairing)
+
+
+def _load_samples(path, parse) -> list[TimeSeriesSample] | None:
+    """Scan the file once, with ``parse`` turning coordinate text into rows.
+
+    Returns None when ``parse`` refuses text that `float()` may accept.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = iter(fh)
+        try:
+            header = next(csv.reader(lines))
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file") from None
+        _check_header(path, header)
+        scan = _Scan(path, len(header))
+        d = len(header) - 4
+        block = parse(path, scan.coordinates(lines), d)
+    if block is None or block.shape != (scan.rows, d):
+        return None
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}:{bad[0] + 2}: non-finite coordinate value")
+    if scan.error is not None:
+        raise scan.error
+    stops = [first for *_, first in scan.starts[1:]] + [scan.rows]
+    return [
+        TimeSeriesSample(sid, tag, label, block[first:stop])
+        for (sid, tag, label, first), stop in zip(scan.starts, stops)
+    ]
+
+
+# Characters that csv or float() read differently from numpy's reader: a
+# quote, and U+001C..U+001F, which numpy strips as whitespace and float()
+# refuses. A line holding one goes through csv and float() alone.
+_CSV_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+class _Scan:
+    """One pass over the data records: field count and the identity checks.
+
+    `coordinates` yields each record's coordinate text, one comma-joined
+    line per data row, and notes where each sample starts. At the first
+    bad record it keeps the error and stops, so the parser has already
+    seen every earlier row and a bad value there is reported first.
+    """
+
+    def __init__(self, path, width: int):
+        self.path = path
+        self.width = width
+        self.rows = 0
+        self.starts: list[tuple[str, str, ClassLabel, int]] = []
+        self.error: DataFormatError | None = None
+
+    def coordinates(self, lines):
+        try:
+            yield from self._records(lines)
+        except DataFormatError as exc:
+            self.error = exc
+
+    def _records(self, lines):
+        path, width = self.path, self.width
+        seen: set[str] = set()
+        cur_id = cur_tag = cur_token = None
+        count = 0
+        for lineno, line in enumerate(lines, start=2):
+            via_csv = any(c in line for c in _CSV_ONLY)
+            if via_csv:
+                fields = next(csv.reader(itertools.chain([line], lines)))
+                n_fields = len(fields)
+            else:
+                text = line.rstrip("\r\n")
+                n_fields = text.count(",") + 1 if text else 0
+                fields = text.split(",", 4)
+            if n_fields != width:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {width} fields, got {n_fields}"
+                )
+            sid, tag, token, idx_text = fields[:4]
+            if sid != cur_id:
+                if cur_id is not None and count < 3:
+                    return  # building that sample raises "need at least 3 frames"
+                if sid in seen:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: rows for sample {sid!r} are not contiguous"
+                    )
+                seen.add(sid)
+                self.starts.append((sid, tag, ClassLabel.from_token(token), self.rows))
+                cur_id, cur_tag, cur_token, count = sid, tag, token, 0
+            elif tag != cur_tag or token != cur_token:
+                raise DataFormatError(
+                    f"{path}:{lineno}: sample {sid!r} changes group_tag or label mid-file"
+                )
+            if idx_text != str(count):
+                raise DataFormatError(
+                    f"{path}:{lineno}: frame_index {idx_text!r} out of order "
+                    f"(expected {count})"
+                )
+            if via_csv:
+                # parsed here; repr text reads back to the same bits
+                yield ",".join(map(repr, _values(path, lineno, fields[4:])))
+            else:
+                yield fields[4]
+            count += 1
+            self.rows += 1
+
+
+def _parse_block(path, texts, d: int) -> np.ndarray | None:
+    """All rows at once with numpy's reader; None where it refuses the text."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+
+
+def _parse_rows(path, texts, d: int) -> np.ndarray:
+    """Row by row with `float()`: decides wherever `_parse_block` refuses."""
+    rows = [_values(path, lineno, text.split(",")) for lineno, text in enumerate(texts, start=2)]
+    return np.array(rows, dtype=np.float64).reshape(-1, d)
+
+
+def _values(path, lineno: int, fields: list[str]) -> list[float]:
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise DataFormatError(f"{path}:{lineno}: non-numeric coordinate value") from None
+    if not all(math.isfinite(v) for v in values):
+        raise DataFormatError(f"{path}:{lineno}: non-finite coordinate value")
+    return values
 
 
 def _check_header(path, header: list[str]) -> None:

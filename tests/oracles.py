@@ -11,15 +11,21 @@ gate 1 checks against finite differences, and so pin down what the
 stacked trainers and `predict_batch` compute; and the reference SMO
 solver, which builds its kernel matrix with the package's `resolve`
 and `gram_matrix` and then runs the step loop in numpy vector form, the
-way `train_smo` ran it before its loop moved to Python floats.
+way `train_smo` ran it before its loop moved to Python floats; and the
+reference CSV loader, which builds samples from the package's dataset
+types and parses each row with `csv` and `float()`, the way `load_csv`
+read files before it streamed them through numpy's reader.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import os
 
 import numpy as np
 
+from rootgrowth.dataset import ClassLabel, Dataset, TimeSeriesSample, _check_header, _manifest_path, read_manifest
 from rootgrowth.ensembles import (
     EnsembleModel,
     expert_increments,
@@ -33,6 +39,7 @@ from rootgrowth.ensembles import (
     mnce_posterior,
     ncl_output_error,
 )
+from rootgrowth.errors import DataFormatError
 from rootgrowth.seeding import derive
 from rootgrowth.svm import SvmModel, gram_matrix, resolve
 
@@ -400,3 +407,78 @@ def _ref_kkt_violations(alpha, u, y, bias, c) -> np.ndarray:
     viol[at_lo] = np.maximum(0.0, 1.0 - yf[at_lo])
     viol[at_hi] = np.maximum(0.0, yf[at_hi] - 1.0)
     return viol
+
+
+def load_csv_reference(path: str | os.PathLike) -> Dataset:
+    """Row-at-a-time CSV loader: `csv.reader` fields, `float()` values.
+
+    Every check runs in one loop over the records, so the first bad line
+    in file order is the one reported.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file") from None
+        _check_header(path, header)
+
+        samples: list[TimeSeriesSample] = []
+        cur_id: str | None = None
+        cur_tag = ""
+        cur_label = ClassLabel.WILD
+        cur_rows: list[list[float]] = []
+        seen_ids: set[str] = set()
+
+        def finish():
+            if cur_id is not None:
+                samples.append(
+                    TimeSeriesSample(cur_id, cur_tag, cur_label, np.array(cur_rows))
+                )
+
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            sid, tag, token, idx_text = row[:4]
+            if sid != cur_id:
+                finish()
+                if sid in seen_ids:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: rows for sample {sid!r} are not contiguous"
+                    )
+                seen_ids.add(sid)
+                cur_id, cur_tag, cur_label, cur_rows = sid, tag, ClassLabel.from_token(token), []
+            elif tag != cur_tag or token != cur_label.value:
+                raise DataFormatError(
+                    f"{path}:{lineno}: sample {sid!r} changes group_tag or label mid-file"
+                )
+            if idx_text != str(len(cur_rows)):
+                raise DataFormatError(
+                    f"{path}:{lineno}: frame_index {idx_text!r} out of order "
+                    f"(expected {len(cur_rows)})"
+                )
+            try:
+                values = [float(v) for v in row[4:]]
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: non-numeric coordinate value"
+                ) from None
+            if not all(math.isfinite(v) for v in values):
+                raise DataFormatError(f"{path}:{lineno}: non-finite coordinate value")
+            cur_rows.append(values)
+        finish()
+
+    if not samples:
+        raise DataFormatError(f"{path}: no data rows")
+    ids = [s.sample_id for s in samples]
+    if ids != sorted(ids):
+        raise DataFormatError(f"{path}: rows are not sorted by sample_id")
+    pairing = None
+    manifest = _manifest_path(path)
+    if os.path.exists(manifest):
+        meta = read_manifest(manifest)
+        if "wild_tag" in meta and "mutated_tag" in meta:
+            pairing = (meta["wild_tag"], meta["mutated_tag"])
+    return Dataset(tuple(samples), pairing=pairing)

@@ -488,6 +488,28 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["run", "pca-fit"])
+    def test_csv_not_utf8_is_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "tracks.csv"
+        data.write_bytes(b"sample_id,group_tag,label,frame_index,v0\n\xff,wt,wild,0,1.0\n")
+        if command == "run":
+            argv = ["run", "--config", write_config(tmp_path, f"dataset = {data}\n")]
+        else:
+            argv = ["pca-fit", str(data)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: load-dataset: {data}: not UTF-8 text")
+        assert "Traceback" not in err
+
+    def test_stage_annotates_errors_it_cannot_rebuild(self):
+        def decode():
+            return b"\xff".decode("utf-8")
+
+        # UnicodeDecodeError takes five arguments, not one message
+        with pytest.raises(ValueError, match="^load-dataset: 'utf-8' codec can't decode"):
+            cli._stage("load-dataset", decode)
+
+
 class TestBenchmarkHooks:
     def test_wrapped_attributes_exist(self):
         # perfbench/child.py wraps these attributes by name for its traced
