@@ -516,8 +516,10 @@ def cmd_run(args) -> int:
 
 def load_results(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not a JSON results file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != RESULTS_FORMAT:

@@ -213,6 +213,8 @@ def _load_samples(path, parse) -> list[TimeSeriesSample] | None:
             header = next(csv.reader(lines))
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:1: {exc}") from None
         _check_header(path, header)
         scan = _Scan(path, len(header))
         d = len(header) - 4
@@ -267,7 +269,10 @@ class _Scan:
         for lineno, line in enumerate(lines, start=2):
             via_csv = any(c in line for c in _CSV_ONLY)
             if via_csv:
-                fields = next(csv.reader(itertools.chain([line], lines)))
+                try:
+                    fields = next(csv.reader(itertools.chain([line], lines)))
+                except csv.Error as exc:  # e.g. a field over csv's size limit
+                    raise DataFormatError(f"{path}:{lineno}: {exc}") from None
                 n_fields = len(fields)
             else:
                 text = line.rstrip("\r\n")
@@ -368,15 +373,19 @@ def write_manifest(path: str | os.PathLike, dataset: Dataset) -> None:
 def read_manifest(path: str | os.PathLike) -> dict[str, str]:
     """Parse a key=value manifest into a dict (values stay strings)."""
     meta: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            meta[key.strip()] = value.strip()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        meta[key.strip()] = value.strip()
     return meta
 
 

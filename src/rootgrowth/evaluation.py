@@ -91,7 +91,7 @@ def fit_classifier(
             "gaussian_svm": svm.KernelSpec.gaussian(spec.sigma),
             "sigmoid_svm": svm.KernelSpec.sigmoid(spec.a, spec.b),
         }[spec.kind]
-        return svm.train_smo(x, 2 * y_unit - 1, kernel, c=spec.c, seed=seed)
+        return svm.train_smo(x, 2 * y_unit - 1, kernel, c=spec.c)
     cfg = replace(spec.train, seed=seed)
     if spec.kind == "me":
         return ensembles.train_me(x, y_unit, cfg)

@@ -3,10 +3,11 @@
 The dual problem
     max W(a) = sum(a) - 1/2 sum_ij a_i a_j y_i y_j K(x_i, x_j)
     s.t. 0 <= a_i <= C,  sum(a_i y_i) = 0
-is optimized two coordinates at a time: the first index is the worst
-KKT violator, the second is drawn from a seeded generator. Kernel
-matrices are built so that K[i, j] and K[j, i] are the same float, and
-the Gaussian diagonal is exactly 1.
+is optimized two coordinates at a time, over the pair that second-order
+working-set selection picks from a cached gradient (Fan, Chen & Lin,
+JMLR 6, 2005); no step draws a random number. Kernel matrices are built
+so that K[i, j] and K[j, i] are the same float, and the Gaussian
+diagonal is exactly 1.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .errors import ConfigError, DataFormatError, NumericError
 KERNEL_KINDS = ("linear", "gaussian", "sigmoid")
 
 SMO_TOL = 1e-3  # default KKT tolerance of `train_smo`
-_SNAP = 1e-10
-_STEP_EPS = 1e-12
+_TAU = 1e-12  # stands in for a curvature a <= 0, as in LIBSVM
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,17 @@ def default_sigmoid_a(n_coords: int) -> float:
     return 1.0 / n_coords
 
 
-def median_pairwise_distance(x: np.ndarray) -> float:
-    """Median Euclidean distance over distinct point pairs."""
+def median_pairwise_distance(x: np.ndarray, inner: np.ndarray | None = None) -> float:
+    """Median Euclidean distance over distinct point pairs.
+
+    ``inner`` is ``x @ x.T``, for a caller that has it already.
+    """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points for a pairwise median")
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T if inner is None else inner)
     iu = np.triu_indices(n, k=1)
     med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
     if not math.isfinite(med):
@@ -85,12 +88,15 @@ def median_pairwise_distance(x: np.ndarray) -> float:
     return med
 
 
-def resolve(spec: KernelSpec, x: np.ndarray) -> KernelSpec:
-    """Fill data-dependent defaults (Gaussian sigma, sigmoid slope)."""
+def resolve(spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None) -> KernelSpec:
+    """Fill data-dependent defaults (Gaussian sigma, sigmoid slope).
+
+    ``inner`` is ``x @ x.T``, for a caller that has it already.
+    """
     x = np.asarray(x, dtype=np.float64)
     out = spec
     if out.kind == "gaussian" and out.sigma is None:
-        out = replace(out, sigma=median_pairwise_distance(x))
+        out = replace(out, sigma=median_pairwise_distance(x, inner))
     if out.kind == "sigmoid" and out.a is None:
         out = replace(out, a=default_sigmoid_a(x.shape[1]))
     return out
@@ -103,18 +109,19 @@ def _require_resolved(spec: KernelSpec) -> None:
         raise ConfigError("sigmoid kernel slope not resolved")
 
 
-def gram_matrix(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
+def gram_matrix(spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix over the rows of ``x``; bitwise symmetric.
 
-    The inner-product matrix is mirrored from its upper triangle before
-    any elementwise transform, so K[i, j] == K[j, i] exactly and
-    distance-based diagonals are exactly zero.
+    The inner-product matrix (``inner``, if the caller has ``x @ x.T``
+    already) is mirrored from its upper triangle before any elementwise
+    transform, so K[i, j] == K[j, i] exactly and distance-based
+    diagonals are exactly zero.
     """
     _require_resolved(spec)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"x must be (n>=1, d), got shape {x.shape}")
-    g = _mirrored(x @ x.T)
+    g = _mirrored(x @ x.T if inner is None else inner)
     if spec.kind == "linear":
         return g
     if spec.kind == "gaussian":
@@ -197,15 +204,17 @@ def train_smo(
     c: float = 1.0,
     tol: float = SMO_TOL,
     max_passes: int = 100,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> SvmModel:
     """Solve the dual by sequential minimal optimization.
 
-    Each step picks the worst KKT violator as the first index and tries
-    second indices in an order drawn from the seeded generator,
-    applying the analytic two-variable update. Training stops when the
-    worst violation is within ``tol`` or after ``max_passes`` sweeps
-    over the data without convergence.
+    Each step updates the pair that second-order working-set selection
+    picks from the cached gradient (Fan, Chen & Lin, JMLR 6, 2005), with
+    LIBSVM's clipped two-variable update. When the pair's gap is within
+    ``tol``, the KKT residual is measured; training stops once it is
+    within ``tol`` too, or after ``max_passes * n`` updates. ``seed`` is
+    not read: the working set is deterministic, and the keyword stays so
+    that callers written for the seeded solver still run.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -221,46 +230,36 @@ def train_smo(
     if c <= 0 or tol <= 0 or max_passes < 1:
         raise ConfigError("need C > 0, tol > 0, max_passes >= 1")
 
-    kernel = resolve(kernel, x)
-    k = gram_matrix(kernel, x)
+    inner = x @ x.T
+    kernel = resolve(kernel, x, inner)
+    k = gram_matrix(kernel, x, inner)
     if not np.isfinite(k).all():
         raise NumericError(
             f"{kernel.kind} kernel matrix has non-finite entries "
             f"(training data up to {np.abs(x).max():.3g} in magnitude)"
         )
-    # Each step touches a few scalars and two kernel columns, so the loop
-    # runs on Python floats: numpy calls on arrays this small cost more
-    # than their arithmetic. The operations and their order are those of
-    # the vector form, so fits are bitwise the same.
-    cols = k.T.tolist()  # cols[j][r] == k[r, j]
+    # Each step scans a few lists of n floats, so the loop runs on Python
+    # floats: numpy calls on arrays this small cost more than their
+    # arithmetic. The operations and their order are those of the vector
+    # form, so fits are bitwise the same.
+    rows = k.tolist()  # k is bitwise symmetric, so rows are columns too
+    qrows = (k * np.outer(y, y)).tolist()  # Q_it = y_i y_t K_it, exact
     labels = y.tolist()
     cf = float(c)
-    rng = np.random.default_rng(seed)
+    budget = max_passes * n
     alpha = [0.0] * n
-    u = [0.0] * n  # u_i = sum_j alpha_j y_j K_ij, kept incrementally
+    grad = [-1.0] * n  # G = Q alpha - 1, kept incrementally
 
-    converged = False
-    for _ in range(max_passes):
-        moved_in_sweep = False
-        for _ in range(n):
+    for step in range(budget + 1):
+        i, j, gap = _working_set(alpha, grad, labels, rows, cf)
+        if j < 0 or gap <= tol or step == budget:
+            u = [yr * (gr + 1.0) for yr, gr in zip(labels, grad)]  # u = K (alpha * y)
             bias = _bias(alpha, u, labels, cf)
-            i, worst = _worst_violator(alpha, u, labels, bias, cf)
-            if worst <= tol:
-                converged = True
+            _, residual = _worst_violator(alpha, u, labels, bias, cf)
+            if j < 0 or residual <= tol or step == budget:
                 break
-            moved = False
-            for j in rng.permutation(n).tolist():
-                if j != i and _take_step(i, j, alpha, u, labels, cols, cf):
-                    moved = True
-                    break
-            if not moved:
-                break  # the worst violator cannot improve with any partner
-            moved_in_sweep = True
-        if converged or not moved_in_sweep:
-            break
+        _take_step(i, j, alpha, grad, labels, rows, qrows, cf)
 
-    bias = _bias(alpha, u, labels, cf)
-    _, residual = _worst_violator(alpha, u, labels, bias, cf)
     a = np.array(alpha)
     if not np.isfinite(a).all() or not math.isfinite(bias) or not math.isfinite(residual):
         raise NumericError("SMO produced a non-finite multiplier, bias or residual")
@@ -275,62 +274,84 @@ def train_smo(
     )
 
 
-def _take_step(i, j, alpha, u, y, cols, c) -> bool:
-    """Joint update of (alpha_i, alpha_j) in place; True if alpha moved."""
-    ai0, aj0, yi, yj = alpha[i], alpha[j], y[i], y[j]
-    s = yi * yj
-    if s < 0:
-        lo = max(0.0, aj0 - ai0)
-        hi = min(c, c + aj0 - ai0)
-    else:
-        lo = max(0.0, ai0 + aj0 - c)
-        hi = min(c, ai0 + aj0)
-    if hi - lo < _STEP_EPS:
-        return False
-    ki, kj = cols[i], cols[j]
-    eta = ki[i] + kj[j] - 2.0 * kj[i]
-    # Gain along the constraint line for a move of alpha_j by dj:
-    #   dW(dj) = de * dj - eta/2 * dj^2,  de = y_j * (E_i - E_j)
-    de = yj * ((u[i] - yi) - (u[j] - yj))
-    if eta > _STEP_EPS:
-        aj = aj0 + de / eta
-        aj = min(max(aj, lo), hi)
-    else:
-        # Flat or concave-up slice: best endpoint wins.
-        d_lo = lo - aj0
-        d_hi = hi - aj0
-        w_lo = de * d_lo - 0.5 * eta * d_lo * d_lo
-        w_hi = de * d_hi - 0.5 * eta * d_hi * d_hi
-        if w_lo > w_hi + _STEP_EPS:
-            aj = lo
-        elif w_hi > w_lo + _STEP_EPS:
-            aj = hi
+def _working_set(alpha, grad, y, rows, c) -> tuple[int, int, float]:
+    """Second-order working set (i, j) and the maximal violating gap.
+
+    With F_t = -y_t G_t, i maximizes F over I_up (the t whose alpha can
+    move along y_t) and j minimizes -b_t^2 / a_t over the t in I_low with
+    b_t = F_i - F_t > 0, where a_t = K_ii + K_tt - 2 K_it, or TAU when
+    a_t <= 0 (the sigmoid kernel is not PSD). The gap is F_i minus the
+    least F over I_low. Ties go to the first index; j is -1 when no t
+    qualifies.
+    """
+    f_max, i = -math.inf, -1
+    for t, (at, gt, yt) in enumerate(zip(alpha, grad, y)):
+        if yt > 0:
+            if at < c and -gt > f_max:
+                f_max, i = -gt, t
+        elif at > 0.0 and gt > f_max:
+            f_max, i = gt, t
+    ki = rows[i]  # any row when I_up is empty: then no b_t is positive
+    kii = ki[i]
+    f_min, best, j = math.inf, math.inf, -1
+    for t, (at, gt, yt, kt, kit) in enumerate(zip(alpha, grad, y, rows, ki)):
+        if yt > 0:
+            if not at > 0.0:
+                continue
+            ft = -gt
+        elif at < c:
+            ft = gt
         else:
-            return False
-    aj = _snap(aj, c)
-    if abs(aj - aj0) < _STEP_EPS * (aj + aj0 + 1.0):
-        return False
-    # Compensate alpha_i from the snapped alpha_j so the equality
-    # constraint is preserved to rounding error, then clear residual
-    # cancellation noise at the box edges.
-    ai = _snap(ai0 + s * (aj0 - aj), c)
-    ai = min(max(ai, 0.0), c)
-    aj = min(max(aj, 0.0), c)
-    si = (ai - ai0) * yi
-    sj = (aj - aj0) * yj
-    u[:] = [ur + (si * kri + sj * krj) for ur, kri, krj in zip(u, ki, kj)]
+            continue
+        if ft < f_min:
+            f_min = ft
+        b = f_max - ft
+        if b > 0.0:
+            a = kii + kt[t] - 2.0 * kit
+            score = -(b * b) / (a if a > 0.0 else _TAU)
+            if score < best:
+                best, j = score, t
+    return i, j, f_max - f_min
+
+
+def _take_step(i, j, alpha, grad, y, rows, qrows, c) -> None:
+    """LIBSVM's clipped two-variable update, in place on alpha and grad."""
+    ai0, aj0 = alpha[i], alpha[j]
+    a = rows[i][i] + rows[j][j] - 2.0 * rows[i][j]
+    if not a > 0.0:
+        a = _TAU
+    if y[i] != y[j]:  # alpha_i - alpha_j stays fixed
+        delta = (-grad[i] - grad[j]) / a
+        diff = ai0 - aj0
+        ai, aj = ai0 + delta, aj0 + delta
+        if diff > 0.0:
+            if aj < 0.0:
+                ai, aj = diff, 0.0
+            if ai > c:
+                ai, aj = c, c - diff
+        else:
+            if ai < 0.0:
+                ai, aj = 0.0, -diff
+            if aj > c:
+                ai, aj = c + diff, c
+    else:  # alpha_i + alpha_j stays fixed
+        delta = (grad[i] - grad[j]) / a
+        total = ai0 + aj0
+        ai, aj = ai0 - delta, aj0 + delta
+        if total > c:
+            if ai > c:
+                ai, aj = c, total - c
+            if aj > c:
+                ai, aj = total - c, c
+        else:
+            if aj < 0.0:
+                ai, aj = total, 0.0
+            if ai < 0.0:
+                ai, aj = 0.0, total
+    dai, daj = ai - ai0, aj - aj0
+    grad[:] = [g + (qi * dai + qj * daj) for g, qi, qj in zip(grad, qrows[i], qrows[j])]
     alpha[i] = ai
     alpha[j] = aj
-    return True
-
-
-def _snap(a: float, c: float) -> float:
-    eps = _SNAP * max(1.0, c)
-    if a < eps:
-        return 0.0
-    if a > c - eps:
-        return c
-    return a
 
 
 def _bias(alpha, u, y, c) -> float:

@@ -10,8 +10,9 @@ one expert at a time through the public single-pattern helpers, which
 gate 1 checks against finite differences, and so pin down what the
 stacked trainers and `predict_batch` compute; and the reference SMO
 solver, which builds its kernel matrix with the package's `resolve`
-and `gram_matrix` and then runs the step loop in numpy vector form, the
-way `train_smo` ran it before its loop moved to Python floats; and the
+and `gram_matrix` and then runs the second-order working-set loop in
+numpy vector form, with boolean index sets, a masked argmax and argmin
+and LIBSVM's clipped update written as in its C source; and the
 reference CSV loader, which builds samples from the package's dataset
 types and parses each row with `csv` and `float()`, the way `load_csv`
 read files before it streamed them through numpy's reader.
@@ -279,49 +280,47 @@ def ensemble_output(model: EnsembleModel, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Reference SMO solver: the step loop on numpy arrays.
+# Reference SMO solver: the second-order working-set loop on numpy arrays.
 
-_SNAP = 1e-10
-_STEP_EPS = 1e-12
+_TAU = 1e-12
 
 
-def train_smo_reference(x, y, kernel, c=1.0, tol=1e-3, max_passes=100, seed=0) -> SvmModel:
-    """The SMO loop in vector form: boolean-mask bias, array KKT violations
-    with an argmax, and a whole-column update of the cached outputs."""
+def train_smo_reference(x, y, kernel, c=1.0, tol=1e-3, max_passes=100) -> SvmModel:
+    """The SMO loop in vector form: index sets as boolean masks, the
+    working set from a masked argmax and argmin, LIBSVM's clipped update
+    on scalars and a whole-vector gradient update."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     n = x.shape[0]
     kernel = resolve(kernel, x)
     k = gram_matrix(kernel, x)
-    rng = np.random.default_rng(seed)
+    q = k * np.outer(y, y)
     alpha = np.zeros(n)
-    u = np.zeros(n)
+    grad = -np.ones(n)
+    budget = max_passes * n
 
-    converged = False
-    for _ in range(max_passes):
-        moved_in_sweep = False
-        for _ in range(n):
+    for step in range(budget + 1):
+        f = -y * grad
+        up = np.where(y > 0, alpha < c, alpha > 0.0)
+        low = np.where(y > 0, alpha > 0.0, alpha < c)
+        i = int(np.argmax(np.where(up, f, -np.inf)))
+        f_max = f[i] if up.any() else -np.inf
+        f_min = f[low].min() if low.any() else np.inf
+        b = f_max - f
+        a = k[i, i] + np.diag(k) - 2.0 * k[i]
+        a[~(a > 0.0)] = _TAU
+        pairs = low & (b > 0.0)
+        j = int(np.argmin(np.where(pairs, -(b * b) / a, np.inf))) if pairs.any() else -1
+        if j < 0 or f_max - f_min <= tol or step == budget:
+            u = y * (grad + 1.0)
             bias = _ref_bias(alpha, u, y, c)
-            viol = _ref_kkt_violations(alpha, u, y, bias, c)
-            i = int(np.argmax(viol))
-            if viol[i] <= tol:
-                converged = True
+            residual = float(np.max(_ref_kkt_violations(alpha, u, y, bias, c)))
+            if j < 0 or residual <= tol or step == budget:
                 break
-            moved = False
-            for j in rng.permutation(n):
-                if j == i:
-                    continue
-                if _ref_take_step(i, int(j), alpha, u, y, k, c):
-                    moved = True
-                    break
-            if not moved:
-                break
-            moved_in_sweep = True
-        if converged or not moved_in_sweep:
-            break
+        old_i, old_j = alpha[i], alpha[j]
+        _ref_take_step(i, j, alpha, grad, y, k, c)
+        grad += q[i] * (alpha[i] - old_i) + q[j] * (alpha[j] - old_j)
 
-    bias = _ref_bias(alpha, u, y, c)
-    residual = float(np.max(_ref_kkt_violations(alpha, u, y, bias, c)))
     keep = alpha > 0
     return SvmModel(
         support_vectors=x[keep],
@@ -333,51 +332,49 @@ def train_smo_reference(x, y, kernel, c=1.0, tol=1e-3, max_passes=100, seed=0) -
     )
 
 
-def _ref_take_step(i, j, alpha, u, y, k, c) -> bool:
-    s = y[i] * y[j]
-    if s < 0:
-        lo = max(0.0, alpha[j] - alpha[i])
-        hi = min(c, c + alpha[j] - alpha[i])
+def _ref_take_step(i, j, alpha, grad, y, k, c) -> None:
+    # solve_two_variable of LIBSVM's Solver::Solve, with C_i == C_j == c
+    quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
+    if quad <= 0:
+        quad = _TAU
+    if y[i] != y[j]:
+        delta = (-grad[i] - grad[j]) / quad
+        diff = alpha[i] - alpha[j]
+        alpha[i] += delta
+        alpha[j] += delta
+        if diff > 0:
+            if alpha[j] < 0:
+                alpha[j] = 0.0
+                alpha[i] = diff
+        elif alpha[i] < 0:
+            alpha[i] = 0.0
+            alpha[j] = -diff
+        if diff > 0:
+            if alpha[i] > c:
+                alpha[i] = c
+                alpha[j] = c - diff
+        elif alpha[j] > c:
+            alpha[j] = c
+            alpha[i] = c + diff
     else:
-        lo = max(0.0, alpha[i] + alpha[j] - c)
-        hi = min(c, alpha[i] + alpha[j])
-    if hi - lo < _STEP_EPS:
-        return False
-    eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
-    de = y[j] * ((u[i] - y[i]) - (u[j] - y[j]))
-    if eta > _STEP_EPS:
-        aj = alpha[j] + de / eta
-        aj = min(max(aj, lo), hi)
-    else:
-        d_lo = lo - alpha[j]
-        d_hi = hi - alpha[j]
-        w_lo = de * d_lo - 0.5 * eta * d_lo * d_lo
-        w_hi = de * d_hi - 0.5 * eta * d_hi * d_hi
-        if w_lo > w_hi + _STEP_EPS:
-            aj = lo
-        elif w_hi > w_lo + _STEP_EPS:
-            aj = hi
-        else:
-            return False
-    aj = _ref_snap(aj, c)
-    if abs(aj - alpha[j]) < _STEP_EPS * (aj + alpha[j] + 1.0):
-        return False
-    ai = _ref_snap(alpha[i] + s * (alpha[j] - aj), c)
-    ai = min(max(ai, 0.0), c)
-    aj = min(max(aj, 0.0), c)
-    u += (ai - alpha[i]) * y[i] * k[:, i] + (aj - alpha[j]) * y[j] * k[:, j]
-    alpha[i] = ai
-    alpha[j] = aj
-    return True
-
-
-def _ref_snap(a, c):
-    eps = _SNAP * max(1.0, c)
-    if a < eps:
-        return 0.0
-    if a > c - eps:
-        return c
-    return a
+        delta = (grad[i] - grad[j]) / quad
+        total = alpha[i] + alpha[j]
+        alpha[i] -= delta
+        alpha[j] += delta
+        if total > c:
+            if alpha[i] > c:
+                alpha[i] = c
+                alpha[j] = total - c
+        elif alpha[j] < 0:
+            alpha[j] = 0.0
+            alpha[i] = total
+        if total > c:
+            if alpha[j] > c:
+                alpha[j] = c
+                alpha[i] = total - c
+        elif alpha[i] < 0:
+            alpha[i] = 0.0
+            alpha[j] = total
 
 
 def _ref_bias(alpha, u, y, c) -> float:

@@ -501,6 +501,40 @@ class TestExitCodes:
         assert err.startswith(f"error: load-dataset: {data}: not UTF-8 text")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "pca-fit"])
+    def test_csv_field_over_size_limit_is_data_error(self, tmp_path, capsys, command):
+        # csv refuses a field over 131 072 characters; the quotes send the
+        # line through csv
+        long_id = '"' + "s" * 140_000 + '"'
+        rows = [f"{sid},{tag},{label},{f},0.5" for sid, tag, label in
+                ((long_id, "wt", "wild"), ("t", "mut", "mutated")) for f in range(3)]
+        data = tmp_path / "tracks.csv"
+        data.write_text("sample_id,group_tag,label,frame_index,v0\n" + "\n".join(rows) + "\n")
+        if command == "run":
+            argv = ["run", "--config", write_config(tmp_path, f"dataset = {data}\n")]
+        else:
+            argv = ["pca-fit", str(data)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: load-dataset: {data}:2: field larger than field limit")
+        assert "Traceback" not in err
+
+    def test_manifest_not_utf8_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        rows = [f"{sid},{sid},{label},{f},{f}" for sid, label in (("a", "wild"), ("b", "mutated")) for f in range(3)]
+        data.write_text("sample_id,group_tag,label,frame_index,v0\n" + "\n".join(rows) + "\n")
+        manifest = tmp_path / "d.manifest"
+        manifest.write_bytes(b"n_frames=5\n\xff\n")
+        assert main(["pca-fit", str(data), "--out", str(tmp_path / "m.pca")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: load-dataset: {manifest}: not UTF-8 text")
+
+    def test_results_not_utf8_is_data_error(self, tmp_path, capsys):
+        results = tmp_path / "r.json"
+        results.write_bytes(b"\xff")
+        assert main(["report", str(results)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: read-results: {results}: not UTF-8 text")
+
     def test_stage_annotates_errors_it_cannot_rebuild(self):
         def decode():
             return b"\xff".decode("utf-8")

@@ -316,6 +316,12 @@ class TestLoaderMatchesReference:
         with pytest.raises(DataFormatError, match=r"tracks\.csv: not UTF-8 text"):
             load_csv(path)
 
+    def test_header_field_over_size_limit_is_a_data_error(self, tmp_path):
+        path = tmp_path / "tracks.csv"
+        path.write_text('"' + "s" * 140_000 + '",group_tag,label,frame_index,v0\n')
+        with pytest.raises(DataFormatError, match=r"tracks\.csv:1: field larger than field limit"):
+            load_csv(path)
+
     def test_peak_memory_stays_near_the_frames(self, tmp_path):
         # Measured peaks on this file, as multiples of the loaded frames'
         # bytes: 1.27 row by row with csv and float(), 1.23 streaming,

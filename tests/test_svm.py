@@ -6,6 +6,7 @@ import pytest
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
 from rootgrowth.evaluation import ClassifierSpec, fit_classifier, predict_labels
 from rootgrowth.svm import (
+    SMO_TOL,
     KernelSpec,
     cross_gram,
     decision_function,
@@ -167,8 +168,8 @@ class TestSmoTraining:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((12, 3))
         y = np.where(x[:, 0] > 0, 1.0, -1.0)
-        a = train_smo(x, y, KernelSpec.gaussian(), c=2.0, seed=3)
-        b = train_smo(x, y, KernelSpec.gaussian(), c=2.0, seed=3)
+        a = train_smo(x, y, KernelSpec.gaussian(), c=2.0)
+        b = train_smo(x, y, KernelSpec.gaussian(), c=2.0)
         assert np.array_equal(a.coef, b.coef)
         assert a.bias == b.bias
 
@@ -220,8 +221,8 @@ class TestSmoMatchesReference:
             kw = dict(
                 c=float(rng.choice([0.1, 0.5, 1.0, 2.0, 100.0])),
                 tol=float(rng.choice([1e-3, 1e-4])),
-                seed=int(rng.integers(0, 2**31)),
             )
+            rng.integers(0, 2**31)  # was the solver seed; drawn so the problems stay the same
             where = f"trial {trial}: n={n} d={d} {kernel.kind} {kw}"
             assert_same_fit(train_smo(x, y, kernel, **kw), train_smo_reference(x, y, kernel, **kw), where)
 
@@ -238,8 +239,8 @@ class TestSmoMatchesReference:
             assert k[0, 0] + k[6, 6] - 2.0 * k[0, 6] <= 1e-12
             c = float(rng.choice([0.5, 1.0, 100.0]))
             assert_same_fit(
-                train_smo(x, y, kernel, c=c, seed=trial),
-                train_smo_reference(x, y, kernel, c=c, seed=trial),
+                train_smo(x, y, kernel, c=c),
+                train_smo_reference(x, y, kernel, c=c),
                 f"trial {trial}",
             )
 
@@ -261,11 +262,28 @@ class TestSmoMatchesReference:
             x = rng.standard_normal((n, 4))
             y = rng.choice([-1.0, 1.0], size=n)
             kernel = CLI_KERNELS[trial % 3]()
-            a = train_smo(x, y, kernel, c=100.0, max_passes=1, seed=trial)
-            b = train_smo_reference(x, y, kernel, c=100.0, max_passes=1, seed=trial)
+            a = train_smo(x, y, kernel, c=100.0, max_passes=1)
+            b = train_smo_reference(x, y, kernel, c=100.0, max_passes=1)
             assert_same_fit(a, b, f"trial {trial}")
             stopped += a.kkt_residual > 1e-3
         assert stopped > 0
+
+
+class TestConvergence:
+    def test_random_labels(self):
+        # mostly non-separable problems at the default max_passes; the
+        # random-partner solver it replaced (seed 0) left 30 of these 200 above tol
+        rng = np.random.default_rng(0)
+        above = dict.fromkeys((1.0, 10.0, 100.0, 1000.0), 0)
+        for trial in range(200):
+            n = int(rng.integers(10, 41))
+            x = rng.standard_normal((n, int(rng.integers(1, 20))))
+            y = rng.choice([-1.0, 1.0], size=n)
+            c = (1.0, 10.0, 100.0, 1000.0)[trial % 4]
+            model = train_smo(x, y, CLI_KERNELS[(trial // 4) % 3](), c=c)
+            above[c] += model.kkt_residual > SMO_TOL
+        assert above[1.0] == 0, above
+        assert sum(above.values()) <= 19, above
 
 
 class TestNonFinite:
