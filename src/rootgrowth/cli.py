@@ -200,19 +200,23 @@ _KEY_PARSERS = _key_parsers()
 def parse_config_file(path: str) -> dict[str, str]:
     """Read key = value lines; '#' starts a comment, blanks are skipped."""
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key not in _KEY_PARSERS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-            raw[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key not in _KEY_PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
+        raw[key] = value
     return raw
 
 

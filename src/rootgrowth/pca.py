@@ -1,7 +1,11 @@
 """Principal component analysis over pooled frame coordinates.
 
-Fitting runs an SVD of the centered data (no covariance matrix is
-formed); eigenvalues of the covariance are recovered as s^2/(n-1).
+Fitting forms the d x d scatter matrix of the centered data and takes
+its symmetric eigendecomposition; the covariance eigenvalues are the
+scatter's divided by n-1 (the s^2/(n-1) of an SVD of the centered data),
+clamped at 0 where rounding leaves them slightly negative. Forming the
+scatter squares the condition number, so directions whose variance is
+below about 1e-16 of the largest lose their accuracy.
 Component signs follow a fixed convention so that results are
 reproducible across runs: a component is negated when its
 largest-magnitude entry is negative (ties resolved to the lowest
@@ -91,14 +95,23 @@ def fit(data: np.ndarray, n_components: int) -> PcaModel:
     centered = x - mean
     if not centered.any():
         raise DataFormatError("data has zero variance (all rows identical)")
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    eigenvalues = (s * s) / (n - 1)
-    if not np.isfinite(eigenvalues).all():
+    scatter = centered.T @ centered
+    # eigh fails to converge on an overflowed scatter, and a finite
+    # scatter can still have an eigenvalue that overflows
+    finite = np.isfinite(scatter).all()
+    if finite:
+        w, v = np.linalg.eigh(scatter)
+        finite = np.isfinite(w).all()
+    if not finite:
         raise NumericError(
             f"PCA variances overflow (data up to {np.abs(x).max():.3g} in magnitude)"
         )
-    components = _fix_signs(vt[:n_components].copy())
-    return PcaModel(mean, components, eigenvalues[:n_components])
+    # eigh sorts ascending: take the top pairs largest first, and clamp
+    # at 0 the slightly negative values rounding leaves on rank-deficient
+    # data, which PcaModel would reject
+    eigenvalues = np.maximum(w[: -n_components - 1 : -1], 0.0) / (n - 1)
+    components = _fix_signs(v[:, : -n_components - 1 : -1].T.copy())
+    return PcaModel(mean, components, eigenvalues)
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,8 +77,7 @@ def median_pairwise_distance(x: np.ndarray, inner: np.ndarray | None = None) -> 
         raise ValueError("need at least 2 points for a pairwise median")
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T if inner is None else inner)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    med = float(np.median(np.sqrt(np.maximum(d2[_upper_pairs(n)], 0.0))))
     if not math.isfinite(med):
         raise NumericError(
             f"median pairwise distance is not finite (points up to "
@@ -86,6 +86,15 @@ def median_pairwise_distance(x: np.ndarray, inner: np.ndarray | None = None) -> 
     if med <= 0:
         raise DataFormatError("median pairwise distance is zero (duplicate points)")
     return med
+
+
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, k=1)``, built once per n."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def resolve(spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None) -> KernelSpec:

@@ -15,7 +15,10 @@ numpy vector form, with boolean index sets, a masked argmax and argmin
 and LIBSVM's clipped update written as in its C source; and the
 reference CSV loader, which builds samples from the package's dataset
 types and parses each row with `csv` and `float()`, the way `load_csv`
-read files before it streamed them through numpy's reader.
+read files before it streamed them through numpy's reader; and the
+reference PCA fit, which takes an SVD of the centered data and builds
+the package's `PcaModel` with its sign rule, the way `pca.fit` worked
+before it moved to an eigendecomposition of the scatter matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from rootgrowth.ensembles import (
     mnce_posterior,
     ncl_output_error,
 )
-from rootgrowth.errors import DataFormatError
+from rootgrowth.errors import DataFormatError, NumericError
+from rootgrowth.pca import PcaModel, _fix_signs, max_components
 from rootgrowth.seeding import derive
 from rootgrowth.svm import SvmModel, gram_matrix, resolve
 
@@ -479,3 +483,31 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
         if "wild_tag" in meta and "mutated_tag" in meta:
             pairing = (meta["wild_tag"], meta["mutated_tag"])
     return Dataset(tuple(samples), pairing=pairing)
+
+
+def pca_fit_reference(data: np.ndarray, n_components: int) -> PcaModel:
+    """PCA by an SVD of the centered data; eigenvalues are s^2/(n-1)."""
+    x = np.asarray(data, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"data must be 2-D, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DataFormatError("data contains non-finite values")
+    n, d = x.shape
+    limit = max_components(n, d)
+    if not 1 <= n_components <= limit:
+        raise ValueError(
+            f"n_components must be in [1, {limit}] for data of shape {x.shape}, "
+            f"got {n_components}"
+        )
+    mean = x.mean(axis=0)
+    centered = x - mean
+    if not centered.any():
+        raise DataFormatError("data has zero variance (all rows identical)")
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    eigenvalues = (s * s) / (n - 1)
+    if not np.isfinite(eigenvalues).all():
+        raise NumericError(
+            f"PCA variances overflow (data up to {np.abs(x).max():.3g} in magnitude)"
+        )
+    components = _fix_signs(vt[:n_components].copy())
+    return PcaModel(mean, components, eigenvalues[:n_components])

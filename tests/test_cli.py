@@ -519,6 +519,16 @@ class TestExitCodes:
         assert err.startswith(f"error: load-dataset: {data}:2: field larger than field limit")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"folds = 3\xff\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8 text (invalid start byte)")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_not_utf8_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         rows = [f"{sid},{sid},{label},{f},{f}" for sid, label in (("a", "wild"), ("b", "mutated")) for f in range(3)]

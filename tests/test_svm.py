@@ -1,5 +1,7 @@
 """Kernels, SMO training, and agreement with a projected-gradient QP."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,20 @@ class TestKernelSpec:
     def test_median_distance(self):
         x = np.array([[0.0], [3.0], [4.0]])  # pair distances 3, 4, 1
         assert median_pairwise_distance(x) == 3.0
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 17])
+    def test_median_distance_bits_match_pair_loop(self, n):
+        # two draws per n with another size in between, so later calls
+        # reuse the cached index arrays
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            x = rng.standard_normal((n, 5)) * 3.0
+            sq = np.sum(x * x, axis=1)
+            d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+            pairs = [math.sqrt(max(d2[i, j], 0.0)) for i in range(n) for j in range(i + 1, n)]
+            assert median_pairwise_distance(x) == float(np.median(pairs))
+            assert median_pairwise_distance(x, inner=x @ x.T) == float(np.median(pairs))
+            median_pairwise_distance(rng.standard_normal((n + 1, 2)))
 
     def test_median_distance_duplicates(self):
         with pytest.raises(DataFormatError, match="duplicate"):
