@@ -1,11 +1,11 @@
 """Neural ensembles: negative correlation, mixtures of experts, and hybrids.
 
 Every expert is a one-hidden-layer MLP with sigmoid activations at both
-layers and a trailing bias weight per layer. The single-pattern
-helpers (error signals and weight increments of one expert or the gate)
-state the update rules; the trainers run one stacked engine in which a
-pattern step updates all experts at once, bitwise as the helpers would
-one expert at a time:
+layers and a trailing bias weight per layer. The trainers run one
+stacked engine in which a pattern step updates all experts at once,
+bitwise as the update rules stated one expert and one pattern at a
+time would (those single-pattern rules, with the reference trainers
+built on them, are in tests/oracles.py):
 
   ncl        experts trained together, each on its squared error plus
              lambda times the correlation penalty; simple averaging.
@@ -84,10 +84,6 @@ class GatingNetwork:
     w_hidden: np.ndarray  # (hidden, n_inputs + 1)
     w_out: np.ndarray  # (n_experts, hidden + 1)
 
-    @property
-    def n_inputs(self) -> int:
-        return self.w_hidden.shape[1] - 1
-
 
 def init_mlp(n_inputs: int, hidden: int, seed: int) -> MlpNetwork:
     """Fresh expert with weights uniform on [-0.5, 0.5]."""
@@ -111,120 +107,10 @@ def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Shift-stabilized softmax; sums to 1."""
-    e = np.exp(v - np.max(v))
-    return e / e.sum()
-
-
-def _forward(w_hidden, w_out, x_aug):
-    o_h = _sigmoid(w_hidden @ x_aug)
-    o = _sigmoid(float(w_out[0, :-1] @ o_h) + w_out[0, -1])
-    return o_h, o
-
-
-def _gate_forward(w_hidden, w_out, x_aug):
-    o_h = _sigmoid(w_hidden @ x_aug)
-    o_sig = _sigmoid(w_out[:, :-1] @ o_h + w_out[:, -1])
-    return o_h, o_sig, softmax(o_sig)
-
-
-def mlp_forward(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Hidden activations and scalar output for one input vector."""
-    x = _check_point(x, net.n_inputs)
-    return _forward(net.w_hidden, net.w_out, np.append(x, 1.0))
-
-
-def gate_forward(gate: GatingNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hidden activations, sigmoid outputs, and softmax weights g."""
-    x = _check_point(x, gate.n_inputs)
-    return _gate_forward(gate.w_hidden, gate.w_out, np.append(x, 1.0))
-
-
-def _check_point(x, n_inputs):
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape != (n_inputs,):
-        raise ValueError(f"expected {n_inputs} inputs, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DataFormatError("input contains non-finite values")
-    return x
-
-
-# ---------------------------------------------------------------------------
-# Error signals and weight increments (one pattern at a time)
-
-
-def ncl_penalty(outputs: np.ndarray, i: int) -> float:
-    """Correlation penalty P_i = (O_i - O_ens) * sum_{j!=i} (O_j - O_ens)."""
-    dev = outputs - outputs.mean()
-    return float(dev[i] * (dev.sum() - dev[i]))
-
-
-def ncl_output_error(target: float, outputs: np.ndarray, i: int, lam: float) -> float:
-    """Output-layer error signal of expert i under the penalty convention.
-
-    The penalty derivative is taken as sum_{j!=i} (O_j - O_ens), i.e.
-    -(O_i - O_ens); the signal is applied in the delta rule as
-    (target - O_i) + lambda * (O_i - O_ens).
-    """
-    o_ens = outputs.mean()
-    return float((target - outputs[i]) + lam * (outputs[i] - o_ens))
-
-
 def gncl_target(target: float, outputs: np.ndarray) -> np.ndarray:
     """Expertise shares h: normalized exp(-(target - O_i)^2 / 2)."""
     w = np.exp(-0.5 * (target - outputs) ** 2)
     return w / w.sum()
-
-
-def mnce_posterior(target: float, outputs: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
-    """Posterior responsibility h of each expert for the pattern.
-
-    h_i is proportional to g_i * exp(-(target - O_i)^2 / 2 + lambda P_i)
-    and normalized to sum to 1.
-    """
-    pen = np.array([ncl_penalty(outputs, i) for i in range(len(outputs))])
-    w = g * np.exp(-0.5 * (target - outputs) ** 2 + lam * pen)
-    return w / w.sum()
-
-
-def mnce_penalty_grad(outputs: np.ndarray, g: np.ndarray, i: int) -> float:
-    """dP_i/dO_i convention of the mixture update rule.
-
-    g_i * sum_{j!=i} (O_j - Obar) + g_i * (M - 1) * (O_i - Obar).
-    """
-    m = len(outputs)
-    o_bar = outputs.mean()
-    others = (outputs.sum() - outputs[i]) - (m - 1) * o_bar
-    return float(g[i] * others + g[i] * (m - 1) * (outputs[i] - o_bar))
-
-
-def mnce_output_error(
-    target: float, outputs: np.ndarray, g: np.ndarray, h: np.ndarray, i: int, lam: float
-) -> float:
-    """Posterior-weighted error signal of expert i."""
-    dp = mnce_penalty_grad(outputs, g, i)
-    return float(h[i] * ((target - outputs[i]) - lam * dp))
-
-
-def expert_increments(w_out, x_aug, o_h, o, err):
-    """Delta-rule weight increments (no learning rate) for one expert."""
-    delta_o = err * o * (1.0 - o)
-    inc_out = delta_o * np.append(o_h, 1.0)
-    delta_h = (w_out[0, :-1] * delta_o) * o_h * (1.0 - o_h)
-    return np.outer(delta_h, x_aug), inc_out[None, :]
-
-
-def gate_increments(w_out, x_aug, o_h, o_sig, resid):
-    """Delta-rule weight increments (no learning rate) for the gate.
-
-    ``resid`` is the target-minus-g vector; the derivative factor is
-    the sigmoid slope of the gate's MLP outputs.
-    """
-    delta_o = resid * o_sig * (1.0 - o_sig)
-    inc_out = np.outer(delta_o, np.append(o_h, 1.0))
-    delta_h = (w_out[:, :-1].T @ delta_o) * o_h * (1.0 - o_h)
-    return np.outer(delta_h, x_aug), inc_out
 
 
 # ---------------------------------------------------------------------------
@@ -287,37 +173,6 @@ def _augment(x):
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
-def train_backprop(
-    x: np.ndarray,
-    y: np.ndarray,
-    cfg: TrainConfig,
-    init_seed: int | None = None,
-    shuffle_seed: int | None = None,
-) -> MlpNetwork:
-    """Train one plain MLP with per-pattern backprop (no ensemble terms).
-
-    Seeds default to the first expert's derived sub-seeds so a single
-    network is comparable with ensemble runs on the same config.
-    """
-    x, y = _check_training_inputs(x, y, 0.0)
-    if init_seed is None:
-        init_seed = derive(cfg.seed, "expert-init", 0)
-    if shuffle_seed is None:
-        shuffle_seed = derive(cfg.seed, "shuffle")
-    net = init_mlp(x.shape[1], cfg.hidden, init_seed)
-    rng = np.random.default_rng(shuffle_seed)
-    for epoch in range(cfg.epochs):
-        for idx in rng.permutation(len(y)):
-            x_aug = np.append(x[idx], 1.0)
-            o_h, o = _forward(net.w_hidden, net.w_out, x_aug)
-            err = y[idx] - o
-            inc_h, inc_out = expert_increments(net.w_out, x_aug, o_h, o, err)
-            net.w_hidden += cfg.eta_experts * inc_h
-            net.w_out += cfg.eta_experts * inc_out
-        _ensure_finite(epoch, net.w_hidden, net.w_out)
-    return net
-
-
 # ---------------------------------------------------------------------------
 # Stacked experts: one pattern step updates all M experts, and the gate,
 # at once.
@@ -325,15 +180,16 @@ def train_backprop(
 # Hidden layers live in wh (M+1, H, d+1), the gate's as slice M, so one
 # gemv per slice and one increment serve them all; output layers live in
 # wo (2M, H+1), M expert rows and then the gate's M rows. numpy does the
-# (d+1)-wide work and the calls whose bits the single-pattern helpers
-# fix: every np.exp (math.exp rounds differently), the per-expert output
-# dots and the gate's output and backprop gemvs (a Python dot rounds
-# differently from both). The M- and H-sized arithmetic between them
-# runs on Python floats, where a numpy call on 4 to 20 entries costs
-# more in dispatch than in arithmetic. Each expression keeps the
-# helpers' operation order, squares are d * d as numpy's ** 2, and sums
-# over experts go through `_fsum`, so a stacked fit is bitwise the fit
-# of M experts updated one after another.
+# (d+1)-wide work and the calls whose bits the single-pattern update
+# rules in tests/oracles.py fix: every np.exp (math.exp rounds
+# differently), the per-expert output dots and the gate's output and
+# backprop gemvs (a Python dot rounds differently from both). The M-
+# and H-sized arithmetic between them runs on Python floats, where a
+# numpy call on 4 to 20 entries costs more in dispatch than in
+# arithmetic. Each expression keeps those rules' operation order,
+# squares are d * d as numpy's ** 2, and sums over experts go through
+# `_fsum`, so a stacked fit is bitwise the fit of M experts updated one
+# after another.
 
 
 def _fsum(values):
@@ -373,14 +229,15 @@ def _experts_forward(wh, wo, x_aug):
 
 
 def _ncl_errors(t, o, lam):
-    """`ncl_output_error` of every expert, on Python floats."""
+    """Every expert's NCL error signal (t - O_i) + lam * (O_i - O_bar), on
+    Python floats."""
     o_bar = _fsum(o) / len(o)
     return [(t - v) + lam * (v - o_bar) for v in o]
 
 
 def _mixture_signals(t, o, osig, lam):
-    """Gate weights g (`softmax` of the gate's sigmoid outputs), posterior
-    h (`mnce_posterior`) and every expert's `mnce_output_error`, on
+    """Gate weights g (the softmax of the gate's sigmoid outputs), the
+    posterior h and every expert's posterior-weighted error signal, on
     Python floats with one np.exp call."""
     m = len(o)
     m1 = float(m - 1)
@@ -389,14 +246,14 @@ def _mixture_signals(t, o, osig, lam):
     dev = [v - o_bar for v in o]
     dev_sum = _fsum(dev)
     top = max(osig)
-    # softmax's exponentials, then the posterior's (with ncl_penalty)
+    # the softmax's exponentials, then the posterior's (with the penalty P_i)
     e = np.exp(
         [v - top for v in osig]
         + [-0.5 * ((t - v) * (t - v)) + lam * (d * (dev_sum - d)) for v, d in zip(o, dev)]
     ).tolist()
     g = _normalized(e[:m])
     h = _normalized([gi * v for gi, v in zip(g, e[m:])])
-    # the error signals, with mnce_penalty_grad
+    # the error signals, with the mixture rule's penalty slope
     err = [
         hi * ((t - v) - lam * (gi * ((o_sum - v) - m1 * o_bar) + gi * m1 * d))
         for hi, gi, v, d in zip(h, g, o, dev)
@@ -405,7 +262,7 @@ def _mixture_signals(t, o, osig, lam):
 
 
 def _gate_backprop(gx, act, osig, resid, eta):
-    """`gate_increments` of one pattern on Python floats: the gate's hidden
+    """The gate's delta-rule step for one pattern on Python floats: its hidden
     deltas, and its output-layer increments with the learning rate
     applied, both flat in row order. ``gx`` is the gate's (M, H) output
     weights, ``act`` its hidden activations."""
@@ -423,9 +280,8 @@ def _train_experts(x, y, cfg, lam, gate):
 
     All experts see the same shuffled pattern sequence. Without a gate
     each expert steps on its NCL error. With one, the posterior h
-    weights each expert's penalized error (``mnce_output_error``) and
-    the gate steps toward h; ``lam`` scales the correlation terms in
-    both.
+    weights each expert's penalized error and the gate steps toward h;
+    ``lam`` scales the correlation terms in both.
     """
     m, hid = cfg.n_experts, cfg.hidden
     x_aug = _augment(x)
@@ -576,7 +432,7 @@ def predict_batch(model: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, np.n
     """Combined outputs and 0/1 labels; the tie O_T = 0.5 goes to 0.
 
     One stacked pass over all rows; every row's products are the ones
-    `mlp_forward` and `gate_forward` make for that row alone, so each
+    the single-pattern forward passes make for that row alone, so each
     output is bitwise their outputs' mean, or gate-weighted sum.
     """
     x = np.asarray(x, dtype=np.float64)

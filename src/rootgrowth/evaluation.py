@@ -7,10 +7,10 @@ of the per-fold scores. Fold assignments are fixed once per (seed,
 dataset) and shared across every window so window comparisons are like
 for like.
 
-Windows are independent work units: with n_jobs > 1 they are evaluated
-in a process pool, which returns results in window order like the
-serial loop, so the output is identical to the serial run byte for
-byte.
+Windows are independent work units: with n_jobs > 1 and more than one
+window they are evaluated in a process pool of at most one worker per
+window, which returns results in window order like the serial loop, so
+the output is identical to the serial run byte for byte.
 """
 
 from __future__ import annotations
@@ -281,7 +281,8 @@ def window_search(
         "seed": seed,
     }
 
-    if n_jobs == 1:
+    workers = min(n_jobs, len(windows))
+    if workers == 1:
         _init_worker(ctx)
         try:
             raw = [_evaluate_window(i) for i in range(len(windows))]
@@ -289,7 +290,7 @@ def window_search(
             _WORKER_CTX.clear()
     else:
         with ProcessPoolExecutor(
-            max_workers=n_jobs, initializer=_init_worker, initargs=(ctx,)
+            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
             raw = list(pool.map(_evaluate_window, range(len(windows))))
 

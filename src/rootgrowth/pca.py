@@ -132,18 +132,10 @@ def transform(model: PcaModel, data: np.ndarray) -> np.ndarray:
     return (x - model.mean) @ model.components.T
 
 
-def reconstruct(model: PcaModel, scores: np.ndarray) -> np.ndarray:
-    """Map scores back to coordinate space (lossy for k < d)."""
-    z = np.asarray(scores, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != model.n_components:
-        raise ValueError(
-            f"scores must be (n, {model.n_components}), got shape {z.shape}"
-        )
-    return z @ model.components + model.mean
-
-
 def save_model(model: PcaModel, path: str | os.PathLike) -> None:
-    """Write the model as a flat little-endian binary record."""
+    """Write the model as a flat little-endian binary record: the magic
+    bytes, a version byte, d and k as uint32, then the mean, the
+    components (row-major) and the eigenvalues as float64."""
     k, d = model.components.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -151,27 +143,3 @@ def save_model(model: PcaModel, path: str | os.PathLike) -> None:
         fh.write(model.mean.astype("<f8").tobytes())
         fh.write(model.components.astype("<f8").tobytes())
         fh.write(model.eigenvalues.astype("<f8").tobytes())
-
-
-def load_model(path: str | os.PathLike) -> PcaModel:
-    """Read a model written by `save_model`; bit-exact round-trip."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = struct.calcsize("<BII")
-    if len(blob) < len(_MAGIC) + head or blob[: len(_MAGIC)] != _MAGIC:
-        raise DataFormatError(f"{path}: not a PCA model file")
-    version, d, k = struct.unpack_from("<BII", blob, len(_MAGIC))
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported model version {version}")
-    offset = len(_MAGIC) + head
-    expected = offset + 8 * (d + k * d + k)
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"{path}: truncated model file ({len(blob)} bytes, expected {expected})"
-        )
-    mean = np.frombuffer(blob, "<f8", count=d, offset=offset)
-    offset += 8 * d
-    components = np.frombuffer(blob, "<f8", count=k * d, offset=offset).reshape(k, d)
-    offset += 8 * k * d
-    eigenvalues = np.frombuffer(blob, "<f8", count=k, offset=offset)
-    return PcaModel(mean, components, eigenvalues)

@@ -1,7 +1,7 @@
 """Deterministic sub-seed derivation.
 
-Every random decision in the package (weight init, shuffling, SMO index
-picks, synthetic data) draws from a generator seeded through `derive`,
+Every random decision in the package (weight init, shuffling, fold
+assignment, synthetic data) draws from a generator seeded through `derive`,
 so one top-level seed pins the whole pipeline regardless of evaluation
 order or worker count.
 """

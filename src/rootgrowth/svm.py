@@ -1,4 +1,4 @@
-"""Kernel SVM trained with a simplified SMO solver.
+"""Kernel SVM trained by sequential minimal optimization (SMO).
 
 The dual problem
     max W(a) = sum(a) - 1/2 sum_ij a_i a_j y_i y_j K(x_i, x_j)
@@ -213,7 +213,6 @@ def train_smo(
     c: float = 1.0,
     tol: float = SMO_TOL,
     max_passes: int = 100,
-    seed: int | None = None,
 ) -> SvmModel:
     """Solve the dual by sequential minimal optimization.
 
@@ -221,9 +220,8 @@ def train_smo(
     picks from the cached gradient (Fan, Chen & Lin, JMLR 6, 2005), with
     LIBSVM's clipped two-variable update. When the pair's gap is within
     ``tol``, the KKT residual is measured; training stops once it is
-    within ``tol`` too, or after ``max_passes * n`` updates. ``seed`` is
-    not read: the working set is deterministic, and the keyword stays so
-    that callers written for the seeded solver still run.
+    within ``tol`` too, or after ``max_passes * n`` updates. No step
+    draws a random number.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()

@@ -1,24 +1,34 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written a different way from the library
-code: loop-based differences, a cyclic Jacobi eigensolver, a projected
-gradient QP solver, central finite differences, and a nearest-centroid
-classifier, plus a kernel evaluated one pair of points at a time. None
-of it imports from the modules under test, except the reference
-ensemble trainers at the end and the per-row ensemble output: they run
-one expert at a time through the public single-pattern helpers, which
-gate 1 checks against finite differences, and so pin down what the
-stacked trainers and `predict_batch` compute; and the reference SMO
-solver, which builds its kernel matrix with the package's `resolve`
-and `gram_matrix` and then runs the second-order working-set loop in
-numpy vector form, with boolean index sets, a masked argmax and argmin
-and LIBSVM's clipped update written as in its C source; and the
-reference CSV loader, which builds samples from the package's dataset
-types and parses each row with `csv` and `float()`, the way `load_csv`
-read files before it streamed them through numpy's reader; and the
-reference PCA fit, which takes an SVD of the centered data and builds
-the package's `PcaModel` with its sign rule, the way `pca.fit` worked
-before it moved to an eigendecomposition of the scatter matrix.
+Most of it is deliberately written a different way from the library
+code and imports nothing from the modules under test: loop-based
+differences, a cyclic Jacobi eigensolver, a projected gradient QP
+solver, central finite differences, a nearest-centroid classifier, and
+a kernel evaluated one pair of points at a time. The rest builds on the
+package's own types, or is the code that a faster package path
+replaced:
+
+- the ensembles' update rules, one expert and one pattern at a time
+  (forward passes, error signals and weight increments), which gate 1
+  checks against finite differences; and plain backprop, the reference
+  trainers and the per-row ensemble output built on them, which pin
+  down what the stacked trainers and `predict_batch` compute. They use
+  the package's network types and initialisers, `gncl_target` and the
+  seed derivation;
+- the reference SMO solver, which builds its kernel matrix with the
+  package's `resolve` and `gram_matrix` and then runs the second-order
+  working-set loop in numpy vector form, with boolean index sets, a
+  masked argmax and argmin and LIBSVM's clipped update written as in its
+  C source;
+- the reference CSV loader, which builds samples from the package's
+  dataset types and parses each row with `csv` and `float()`, the way
+  `load_csv` read files before it streamed them through numpy's reader;
+- the reference PCA fit, which takes an SVD of the centered data and
+  builds the package's `PcaModel` with its sign rule, the way `pca.fit`
+  worked before it moved to an eigendecomposition of the scatter matrix;
+  and the two PCA helpers that no command needs: `reconstruct`, through
+  which gate 5 checks `fit` and `transform`, and `load_model`, which
+  reads back what `save_model` writes.
 """
 
 from __future__ import annotations
@@ -26,25 +36,14 @@ from __future__ import annotations
 import csv
 import math
 import os
+import struct
 
 import numpy as np
 
 from rootgrowth.dataset import ClassLabel, Dataset, TimeSeriesSample, _check_header, _manifest_path, read_manifest
-from rootgrowth.ensembles import (
-    EnsembleModel,
-    expert_increments,
-    gate_forward,
-    gate_increments,
-    gncl_target,
-    init_gate,
-    init_mlp,
-    mlp_forward,
-    mnce_output_error,
-    mnce_posterior,
-    ncl_output_error,
-)
+from rootgrowth.ensembles import EnsembleModel, GatingNetwork, MlpNetwork, TrainConfig, gncl_target, init_gate, init_mlp
 from rootgrowth.errors import DataFormatError, NumericError
-from rootgrowth.pca import PcaModel, _fix_signs, max_components
+from rootgrowth.pca import _MAGIC, _VERSION, PcaModel, _fix_signs, max_components
 from rootgrowth.seeding import derive
 from rootgrowth.svm import SvmModel, gram_matrix, resolve
 
@@ -199,8 +198,139 @@ def nearest_centroid_cv_error(x: np.ndarray, y: np.ndarray, folds) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Single-pattern update rules: forward passes, error signals and weight
+# increments of one expert or the gate.
+
+
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def softmax(v: np.ndarray) -> np.ndarray:
+    """Shift-stabilized softmax; sums to 1."""
+    e = np.exp(v - np.max(v))
+    return e / e.sum()
+
+
+def _forward(w_hidden, w_out, x_aug):
+    o_h = _sigmoid(w_hidden @ x_aug)
+    o = _sigmoid(float(w_out[0, :-1] @ o_h) + w_out[0, -1])
+    return o_h, o
+
+
+def mlp_forward(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Hidden activations and scalar output for one input vector."""
+    return _forward(net.w_hidden, net.w_out, np.append(x, 1.0))
+
+
+def gate_forward(gate: GatingNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hidden activations, sigmoid outputs, and softmax weights g."""
+    o_h = _sigmoid(gate.w_hidden @ np.append(x, 1.0))
+    o_sig = _sigmoid(gate.w_out[:, :-1] @ o_h + gate.w_out[:, -1])
+    return o_h, o_sig, softmax(o_sig)
+
+
+def ncl_penalty(outputs: np.ndarray, i: int) -> float:
+    """Correlation penalty P_i = (O_i - O_ens) * sum_{j!=i} (O_j - O_ens)."""
+    dev = outputs - outputs.mean()
+    return float(dev[i] * (dev.sum() - dev[i]))
+
+
+def ncl_output_error(target: float, outputs: np.ndarray, i: int, lam: float) -> float:
+    """Output-layer error signal of expert i under the penalty convention.
+
+    The penalty derivative is taken as sum_{j!=i} (O_j - O_ens), i.e.
+    -(O_i - O_ens); the signal is applied in the delta rule as
+    (target - O_i) + lambda * (O_i - O_ens).
+    """
+    o_ens = outputs.mean()
+    return float((target - outputs[i]) + lam * (outputs[i] - o_ens))
+
+
+def mnce_posterior(target: float, outputs: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+    """Posterior responsibility h of each expert for the pattern.
+
+    h_i is proportional to g_i * exp(-(target - O_i)^2 / 2 + lambda P_i)
+    and normalized to sum to 1.
+    """
+    pen = np.array([ncl_penalty(outputs, i) for i in range(len(outputs))])
+    w = g * np.exp(-0.5 * (target - outputs) ** 2 + lam * pen)
+    return w / w.sum()
+
+
+def mnce_penalty_grad(outputs: np.ndarray, g: np.ndarray, i: int) -> float:
+    """dP_i/dO_i convention of the mixture update rule.
+
+    g_i * sum_{j!=i} (O_j - Obar) + g_i * (M - 1) * (O_i - Obar).
+    """
+    m = len(outputs)
+    o_bar = outputs.mean()
+    others = (outputs.sum() - outputs[i]) - (m - 1) * o_bar
+    return float(g[i] * others + g[i] * (m - 1) * (outputs[i] - o_bar))
+
+
+def mnce_output_error(
+    target: float, outputs: np.ndarray, g: np.ndarray, h: np.ndarray, i: int, lam: float
+) -> float:
+    """Posterior-weighted error signal of expert i."""
+    dp = mnce_penalty_grad(outputs, g, i)
+    return float(h[i] * ((target - outputs[i]) - lam * dp))
+
+
+def expert_increments(w_out, x_aug, o_h, o, err):
+    """Delta-rule weight increments (no learning rate) for one expert."""
+    delta_o = err * o * (1.0 - o)
+    inc_out = delta_o * np.append(o_h, 1.0)
+    delta_h = (w_out[0, :-1] * delta_o) * o_h * (1.0 - o_h)
+    return np.outer(delta_h, x_aug), inc_out[None, :]
+
+
+def gate_increments(w_out, x_aug, o_h, o_sig, resid):
+    """Delta-rule weight increments (no learning rate) for the gate.
+
+    ``resid`` is the target-minus-g vector; the derivative factor is
+    the sigmoid slope of the gate's MLP outputs.
+    """
+    delta_o = resid * o_sig * (1.0 - o_sig)
+    inc_out = np.outer(delta_o, np.append(o_h, 1.0))
+    delta_h = (w_out[:, :-1].T @ delta_o) * o_h * (1.0 - o_h)
+    return np.outer(delta_h, x_aug), inc_out
+
+
+# ---------------------------------------------------------------------------
 # Reference ensemble trainers: one expert and one pattern at a time.
 # Each returns (experts, gate); gate is None for plain NCL.
+
+
+def train_backprop(
+    x: np.ndarray,
+    y: np.ndarray,
+    cfg: TrainConfig,
+    init_seed: int | None = None,
+    shuffle_seed: int | None = None,
+) -> MlpNetwork:
+    """Train one plain MLP with per-pattern backprop (no ensemble terms).
+
+    Seeds default to the first expert's derived sub-seeds so a single
+    network is comparable with ensemble runs on the same config.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if init_seed is None:
+        init_seed = derive(cfg.seed, "expert-init", 0)
+    if shuffle_seed is None:
+        shuffle_seed = derive(cfg.seed, "shuffle")
+    net = init_mlp(x.shape[1], cfg.hidden, init_seed)
+    rng = np.random.default_rng(shuffle_seed)
+    for epoch in range(cfg.epochs):
+        for idx in rng.permutation(len(y)):
+            x_aug = np.append(x[idx], 1.0)
+            o_h, o = _forward(net.w_hidden, net.w_out, x_aug)
+            err = y[idx] - o
+            inc_h, inc_out = expert_increments(net.w_out, x_aug, o_h, o, err)
+            net.w_hidden += cfg.eta_experts * inc_h
+            net.w_out += cfg.eta_experts * inc_out
+    return net
 
 
 def reference_ncl(x, y, cfg, lam):
@@ -511,3 +641,37 @@ def pca_fit_reference(data: np.ndarray, n_components: int) -> PcaModel:
         )
     components = _fix_signs(vt[:n_components].copy())
     return PcaModel(mean, components, eigenvalues[:n_components])
+
+
+def reconstruct(model: PcaModel, scores: np.ndarray) -> np.ndarray:
+    """Map scores back to coordinate space (lossy for k < d)."""
+    z = np.asarray(scores, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] != model.n_components:
+        raise ValueError(
+            f"scores must be (n, {model.n_components}), got shape {z.shape}"
+        )
+    return z @ model.components + model.mean
+
+
+def load_model(path: str | os.PathLike) -> PcaModel:
+    """Read a model written by `save_model`; bit-exact round-trip."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    head = struct.calcsize("<BII")
+    if len(blob) < len(_MAGIC) + head or blob[: len(_MAGIC)] != _MAGIC:
+        raise DataFormatError(f"{path}: not a PCA model file")
+    version, d, k = struct.unpack_from("<BII", blob, len(_MAGIC))
+    if version != _VERSION:
+        raise DataFormatError(f"{path}: unsupported model version {version}")
+    offset = len(_MAGIC) + head
+    expected = offset + 8 * (d + k * d + k)
+    if len(blob) != expected:
+        raise DataFormatError(
+            f"{path}: truncated model file ({len(blob)} bytes, expected {expected})"
+        )
+    mean = np.frombuffer(blob, "<f8", count=d, offset=offset)
+    offset += 8 * d
+    components = np.frombuffer(blob, "<f8", count=k * d, offset=offset).reshape(k, d)
+    offset += 8 * k * d
+    eigenvalues = np.frombuffer(blob, "<f8", count=k, offset=offset)
+    return PcaModel(mean, components, eigenvalues)

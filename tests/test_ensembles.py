@@ -10,21 +10,10 @@ from rootgrowth.ensembles import (
     GatingNetwork,
     MlpNetwork,
     TrainConfig,
-    expert_increments,
-    gate_forward,
-    gate_increments,
     gncl_target,
     init_gate,
     init_mlp,
-    mlp_forward,
-    mnce_output_error,
-    mnce_penalty_grad,
-    mnce_posterior,
-    ncl_output_error,
-    ncl_penalty,
     predict_batch,
-    softmax,
-    train_backprop,
     train_gated_ncl,
     train_me,
     train_mnce,
@@ -33,7 +22,24 @@ from rootgrowth.ensembles import (
 from rootgrowth.errors import DataFormatError, NumericError
 from rootgrowth.seeding import derive
 
-from oracles import central_diff_grad, ensemble_output, reference_gated_ncl, reference_mnce, reference_ncl
+from oracles import (
+    central_diff_grad,
+    ensemble_output,
+    expert_increments,
+    gate_forward,
+    gate_increments,
+    mlp_forward,
+    mnce_output_error,
+    mnce_penalty_grad,
+    mnce_posterior,
+    ncl_output_error,
+    ncl_penalty,
+    reference_gated_ncl,
+    reference_mnce,
+    reference_ncl,
+    softmax,
+    train_backprop,
+)
 
 
 def blob_problem(n=12, seed=0):

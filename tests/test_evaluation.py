@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rootgrowth import ensembles, svm
+from rootgrowth import ensembles, evaluation, svm
 from rootgrowth.dataset import ClassLabel, SyntheticConfig, TimeSeriesSample, Dataset, generate_synthetic
 from rootgrowth.ensembles import TrainConfig
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
@@ -165,6 +165,34 @@ class TestWindowSearch:
         serial = self.run_search(ds, n_jobs=1)
         parallel = self.run_search(ds, n_jobs=2)
         assert serial == parallel
+
+    def test_pool_has_at_most_one_worker_per_window(self, monkeypatch):
+        # the fake pool records its size and maps in this process, so no
+        # worker starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                evaluation._WORKER_CTX.clear()
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        ds = toy_dataset(seed=1)
+        # stride 6 gives windows (0, 4) and (6, 10); stride 8 only (0, 4)
+        for stride, pools in ((6, [2]), (8, [])):
+            sizes.clear()
+            serial = self.run_search(ds, n_jobs=1, stride=stride)
+            assert self.run_search(ds, n_jobs=8, stride=stride) == serial
+            assert sizes == pools, stride
 
     def test_tie_breaks_to_earliest_window(self):
         # zero error everywhere on a trivially separable dataset

