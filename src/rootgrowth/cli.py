@@ -80,8 +80,15 @@ class RunConfig:
         for kind in self.classifiers:
             if kind not in evaluation.KIND_LABELS:
                 raise ConfigError(f"unknown classifier {kind!r} in classifiers")
+        if not self.classifiers:
+            raise ConfigError("classifiers list is empty")
         if len(set(self.classifiers)) != len(self.classifiers):
             raise ConfigError("classifiers list contains duplicates")
+        for wild, mutated in self.pairings:
+            if not wild or not mutated or wild == mutated:
+                raise ConfigError(f"pairings entry {wild}:{mutated} needs two distinct non-empty tags")
+        if len(set(self.pairings)) != len(self.pairings):
+            raise ConfigError("pairings list contains duplicates")
         # the checks of the objects each key feeds, one key at a time so
         # that a failure names it; every key is checked, used or not
         for key, check in _CHECKED_BY.items():
@@ -367,6 +374,7 @@ def run_protocol(cfg: RunConfig) -> dict:
             pair_ds.n_frames, pair_ds.n_coords, np.bincount(pair_ds.labels_unit()),
         )
         pair_sets.append(pair_ds)
+    del ds  # each pairing holds a copy of its rows, so release the full frames
     specs = cfg.specs()
     labels = [s.label for s in specs]
     rows = []
@@ -575,16 +583,20 @@ def _clamp_components(k: int, rows: np.ndarray) -> int:
     return k_eff
 
 
+def _fit_all_frames(ds: Dataset, k: int) -> pca.PcaModel:
+    rows = ds.frames.reshape(-1, ds.n_coords)
+    return _stage("pca-fit", pca.fit, rows, _clamp_components(k, rows))
+
+
 def cmd_pca_fit(args) -> int:
     cfg = load_run_config(args)
     k = args.components if args.components is not None else cfg.pca_components
     ds = _stage("load-dataset", load_csv, args.dataset)
-    rows = np.vstack([s.frames for s in ds.samples])
-    model = _stage("pca-fit", pca.fit, rows, _clamp_components(k, rows))
+    model = _fit_all_frames(ds, k)
     out = args.out or "model.pca"
     _stage("write-model", pca.save_model, model, out)
     eig = ", ".join(f"{v:.6g}" for v in model.eigenvalues)
-    print(f"wrote {out}: {model.n_components} components over {rows.shape[0]} frames")
+    print(f"wrote {out}: {model.n_components} components over {ds.n_samples * ds.n_frames} frames")
     print(f"eigenvalues: {eig}")
     return 0
 
@@ -592,13 +604,11 @@ def cmd_pca_fit(args) -> int:
 def cmd_features_export(args) -> int:
     cfg = load_run_config(args)
     ds = _stage("load-dataset", load_csv, args.dataset)
-    rows = np.vstack([s.frames for s in ds.samples])
-    model = _stage("pca-fit", pca.fit, rows, _clamp_components(cfg.pca_components, rows))
-    scores = np.stack([pca.transform(model, s.frames) for s in ds.samples])
+    model = _fit_all_frames(ds, cfg.pca_components)
     fm = _stage(
         "assemble",
         features.assemble,
-        scores,
+        evaluation.dataset_scores(ds, model),
         cfg.include_velocity,
         cfg.include_acceleration,
         cfg.literal_sum,
@@ -609,8 +619,8 @@ def cmd_features_export(args) -> int:
         features.export_csv,
         fm,
         out,
-        [s.sample_id for s in ds.samples],
-        [s.label.value for s in ds.samples],
+        ds.sample_ids,
+        [label.value for label in ds.labels],
     )
     print(f"wrote {out}: {fm.n_samples} rows x {fm.layout.width} feature columns")
     return 0

@@ -1,9 +1,9 @@
-"""Samples, datasets, CSV I/O and the synthetic generator.
+"""Datasets, CSV I/O and the synthetic generator.
 
-A sample is one tracked object: a (T, d) array of frame coordinates
-plus identity metadata. A dataset is a bundle of samples sharing T and
-d with both classes present. Files use one CSV row per frame and a
-small key=value manifest next to the CSV.
+A dataset holds the frame coordinates of n tracked objects as one
+(n, T, d) array, with each object's id, group tag and label alongside;
+both classes are present. Files use one CSV row per frame and a small
+key=value manifest next to the CSV.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,109 +46,83 @@ class ClassLabel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TimeSeriesSample:
-    """One tracked object: metadata plus a (T, d) float64 frame array."""
-
-    sample_id: str
-    group_tag: str
-    label: ClassLabel
-    frames: np.ndarray
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2:
-            raise DataFormatError(
-                f"sample {self.sample_id!r}: frames must be 2-D (T, d), "
-                f"got shape {frames.shape}"
-            )
-        if frames.shape[0] < 3:
-            raise DataFormatError(
-                f"sample {self.sample_id!r}: need at least 3 frames, "
-                f"got {frames.shape[0]}"
-            )
-        if not np.isfinite(frames).all():
-            raise DataFormatError(
-                f"sample {self.sample_id!r}: frames contain non-finite values"
-            )
-        frames.flags.writeable = False
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_coords(self) -> int:
-        return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable bundle of samples with shared (T, d) and both classes present.
+    """Immutable (n, T, d) float64 frames with each sample's id, group tag
+    and label, T >= 3 and both classes present.
 
     ``pairing`` records which (wild_tag, mutated_tag) pair the dataset
     represents, when known.
     """
 
-    samples: tuple[TimeSeriesSample, ...]
+    frames: np.ndarray
+    sample_ids: tuple[str, ...]
+    tags: tuple[str, ...]
+    labels: tuple[ClassLabel, ...]
     pairing: tuple[str, str] | None = None
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        if not samples:
+        frames = np.asarray(self.frames, dtype=np.float64)
+        if frames.ndim != 3:
+            raise DataFormatError(f"frames must be 3-D (n, T, d), got shape {frames.shape}")
+        n, t = frames.shape[:2]
+        if n == 0:
             raise DataFormatError("dataset has no samples")
-        t0, d0 = samples[0].frames.shape
-        for s in samples:
-            if s.frames.shape != (t0, d0):
-                raise DataFormatError(
-                    f"sample {s.sample_id!r} has shape {s.frames.shape}, "
-                    f"expected {(t0, d0)}"
-                )
-        labels = {s.label for s in samples}
-        if len(labels) != 2:
-            only = next(iter(labels)).value
-            raise DataFormatError(f"dataset contains a single class ({only})")
-        object.__setattr__(self, "samples", samples)
+        if t < 3:
+            raise DataFormatError(f"need at least 3 frames per sample, got {t}")
+        for name in ("sample_ids", "tags", "labels"):
+            values = tuple(getattr(self, name))
+            if len(values) != n:
+                raise DataFormatError(f"{name}: {len(values)} entries for {n} samples")
+            object.__setattr__(self, name, values)
+        if not np.isfinite(frames).all():
+            raise DataFormatError("frames contain non-finite values")
+        if len(set(self.labels)) != 2:
+            raise DataFormatError(f"dataset contains a single class ({self.labels[0].value})")
+        frames.flags.writeable = False
+        object.__setattr__(self, "frames", frames)
 
     @property
     def n_samples(self) -> int:
-        return len(self.samples)
+        return self.frames.shape[0]
 
     @property
     def n_frames(self) -> int:
-        return self.samples[0].n_frames
+        return self.frames.shape[1]
 
     @property
     def n_coords(self) -> int:
-        return self.samples[0].n_coords
+        return self.frames.shape[2]
 
     def labels_unit(self) -> np.ndarray:
-        return np.array([s.label.unit for s in self.samples], dtype=np.int64)
+        return np.array([label.unit for label in self.labels], dtype=np.int64)
 
     def group_tags(self) -> list[str]:
-        return [s.group_tag for s in self.samples]
+        return list(self.tags)
 
 
 def split_by_pairing(dataset: Dataset, wild_tag: str, mutated_tag: str) -> Dataset:
-    """Select samples of the two groups and relabel them by tag.
+    """Select the samples of the two groups and relabel them by tag.
 
     Group tags are authoritative for pairings: whatever labels the
     samples carried, members of ``wild_tag`` come out WILD and members
-    of ``mutated_tag`` come out MUTATED.
+    of ``mutated_tag`` come out MUTATED. The frames are a copy, so the
+    full dataset can be released once its pairings are split.
     """
     if wild_tag == mutated_tag:
         raise ConfigError(f"pairing needs two distinct tags, got {wild_tag!r} twice")
-    picked = []
-    for s in dataset.samples:
-        if s.group_tag == wild_tag:
-            picked.append(replace(s, label=ClassLabel.WILD))
-        elif s.group_tag == mutated_tag:
-            picked.append(replace(s, label=ClassLabel.MUTATED))
-    if not any(s.label is ClassLabel.WILD for s in picked):
-        raise DataFormatError(f"no samples tagged {wild_tag!r}")
-    if not any(s.label is ClassLabel.MUTATED for s in picked):
-        raise DataFormatError(f"no samples tagged {mutated_tag!r}")
-    return Dataset(tuple(picked), pairing=(wild_tag, mutated_tag))
+    role = {wild_tag: ClassLabel.WILD, mutated_tag: ClassLabel.MUTATED}
+    picked = [i for i, tag in enumerate(dataset.tags) if tag in role]
+    tags = [dataset.tags[i] for i in picked]
+    for tag in (wild_tag, mutated_tag):
+        if tag not in tags:
+            raise DataFormatError(f"no samples tagged {tag!r}")
+    return Dataset(
+        dataset.frames[picked],
+        [dataset.sample_ids[i] for i in picked],
+        tags,
+        [role[tag] for tag in tags],
+        pairing=(wild_tag, mutated_tag),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +140,10 @@ def write_csv(dataset: Dataset, path: str | os.PathLike) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in sorted(dataset.samples, key=lambda s: s.sample_id):
-            for t in range(s.n_frames):
-                row = [s.sample_id, s.group_tag, s.label.value, str(t)]
-                row += [repr(float(v)) for v in s.frames[t]]
-                writer.writerow(row)
+        for i in sorted(range(dataset.n_samples), key=dataset.sample_ids.__getitem__):
+            meta = [dataset.sample_ids[i], dataset.tags[i], dataset.labels[i].value]
+            for t, values in enumerate(dataset.frames[i]):
+                writer.writerow(meta + [str(t)] + [repr(float(v)) for v in values])
     write_manifest(_manifest_path(path), dataset)
 
 
@@ -183,15 +156,20 @@ def load_csv(path: str | os.PathLike) -> Dataset:
     first bad line in file order is the one reported.
     """
     try:
-        samples = _load_samples(path, _parse_block)
-        if samples is None:
-            samples = _load_samples(path, _parse_rows)
+        loaded = _load_block(path, _parse_block)
+        if loaded is None:
+            loaded = _load_block(path, _parse_rows)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not samples:
+    block, starts = loaded
+    if not starts:
         raise DataFormatError(f"{path}: no data rows")
-    ids = [s.sample_id for s in samples]
-    if ids != sorted(ids):
+    ids, tags, labels, firsts = zip(*starts)
+    counts = np.diff(firsts + (len(block),)).tolist()
+    for sid, count in zip(ids, counts):
+        if count < 3:
+            raise DataFormatError(f"sample {sid!r}: need at least 3 frames, got {count}")
+    if list(ids) != sorted(ids):
         raise DataFormatError(f"{path}: rows are not sorted by sample_id")
     pairing = None
     manifest = _manifest_path(path)
@@ -199,13 +177,21 @@ def load_csv(path: str | os.PathLike) -> Dataset:
         meta = read_manifest(manifest)
         if "wild_tag" in meta and "mutated_tag" in meta:
             pairing = (meta["wild_tag"], meta["mutated_tag"])
-    return Dataset(tuple(samples), pairing=pairing)
+    d = block.shape[1]
+    for sid, count in zip(ids, counts):
+        if count != counts[0]:
+            raise DataFormatError(
+                f"sample {sid!r} has shape {(count, d)}, expected {(counts[0], d)}"
+            )
+    # a view: the parsed block is the dataset's storage
+    return Dataset(block.reshape(len(ids), counts[0], d), ids, tags, labels, pairing=pairing)
 
 
-def _load_samples(path, parse) -> list[TimeSeriesSample] | None:
+def _load_block(path, parse) -> tuple[np.ndarray, list[tuple[str, str, ClassLabel, int]]] | None:
     """Scan the file once, with ``parse`` turning coordinate text into rows.
 
-    Returns None when ``parse`` refuses text that `float()` may accept.
+    Returns the (rows, d) block and, per sample, its id, tag, label and
+    first row; None when ``parse`` refuses text that `float()` may accept.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = iter(fh)
@@ -226,11 +212,7 @@ def _load_samples(path, parse) -> list[TimeSeriesSample] | None:
         raise DataFormatError(f"{path}:{bad[0] + 2}: non-finite coordinate value")
     if scan.error is not None:
         raise scan.error
-    stops = [first for *_, first in scan.starts[1:]] + [scan.rows]
-    return [
-        TimeSeriesSample(sid, tag, label, block[first:stop])
-        for (sid, tag, label, first), stop in zip(scan.starts, stops)
-    ]
+    return block, scan.starts
 
 
 # Characters that csv or float() read differently from numpy's reader: a
@@ -285,7 +267,7 @@ class _Scan:
             sid, tag, token, idx_text = fields[:4]
             if sid != cur_id:
                 if cur_id is not None and count < 3:
-                    return  # building that sample raises "need at least 3 frames"
+                    return  # load_csv reports "need at least 3 frames"
                 if sid in seen:
                     raise DataFormatError(
                         f"{path}:{lineno}: rows for sample {sid!r} are not contiguous"
@@ -470,14 +452,17 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     of other samples.
     """
     rng = rng_for(cfg.seed, "synthetic")
-    samples: list[TimeSeriesSample] = []
-    for label, tag in ((ClassLabel.WILD, cfg.wild_tag), (ClassLabel.MUTATED, cfg.mutated_tag)):
+    n = cfg.n_per_class
+    frames = np.empty((2 * n, cfg.n_frames, cfg.n_coords))
+    ids, tags, labels = [], [], []
+    groups = ((ClassLabel.WILD, cfg.wild_tag), (ClassLabel.MUTATED, cfg.mutated_tag))
+    for c, (label, tag) in enumerate(groups):
         mean = class_mean_trajectory(cfg, label)
-        for i in range(cfg.n_per_class):
+        for i in range(n):
             intercept = rng.standard_normal(cfg.n_coords) * cfg.intercept_sd
             noise = rng.standard_normal((cfg.n_frames, cfg.n_coords)) * cfg.noise_sd
-            frames = mean + intercept[None, :] + noise
-            samples.append(
-                TimeSeriesSample(f"{tag}_{i:03d}", tag, label, frames)
-            )
-    return Dataset(tuple(samples), pairing=(cfg.wild_tag, cfg.mutated_tag))
+            frames[c * n + i] = mean + intercept[None, :] + noise
+            ids.append(f"{tag}_{i:03d}")
+            tags.append(tag)
+            labels.append(label)
+    return Dataset(frames, ids, tags, labels, pairing=(cfg.wild_tag, cfg.mutated_tag))

@@ -367,9 +367,8 @@ def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) 
     x, y = _check_training_inputs(x, y, lam)
     wh, wo = _train_experts(x, y, cfg, lam, None)
     x_aug = _augment(x)
-    shares = np.array(
-        [gncl_target(t, _experts_forward(wh, wo, xa)[1]) for xa, t in zip(x_aug, y)]
-    )
+    # the batched forward pass gives each row bitwise its single-row outputs
+    shares = np.array([gncl_target(t, o) for o, t in zip(_experts_forward(wh, wo, x_aug)[1], y)])
     gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
     # gate-only steps: the gate half of the mixture step, toward the shares
     hid = cfg.hidden

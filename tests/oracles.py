@@ -20,9 +20,10 @@ replaced:
   working-set loop in numpy vector form, with boolean index sets, a
   masked argmax and argmin and LIBSVM's clipped update written as in its
   C source;
-- the reference CSV loader, which builds samples from the package's
-  dataset types and parses each row with `csv` and `float()`, the way
-  `load_csv` read files before it streamed them through numpy's reader;
+- the reference CSV loader, which parses each row with `csv` and
+  `float()` and checks each sample's frames on their own, the way
+  `load_csv` read files before it streamed them through numpy's reader,
+  and then builds the package's `Dataset`;
 - the reference PCA fit, which takes an SVD of the centered data and
   builds the package's `PcaModel` with its sign rule, the way `pca.fit`
   worked before it moved to an eigendecomposition of the scatter matrix;
@@ -40,7 +41,7 @@ import struct
 
 import numpy as np
 
-from rootgrowth.dataset import ClassLabel, Dataset, TimeSeriesSample, _check_header, _manifest_path, read_manifest
+from rootgrowth.dataset import ClassLabel, Dataset, _check_header, _manifest_path, read_manifest
 from rootgrowth.ensembles import EnsembleModel, GatingNetwork, MlpNetwork, TrainConfig, gncl_target, init_gate, init_mlp
 from rootgrowth.errors import DataFormatError, NumericError
 from rootgrowth.pca import _MAGIC, _VERSION, PcaModel, _fix_signs, max_components
@@ -554,7 +555,7 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
             raise DataFormatError(f"{path}: empty file") from None
         _check_header(path, header)
 
-        samples: list[TimeSeriesSample] = []
+        samples: list[tuple[str, str, ClassLabel, np.ndarray]] = []
         cur_id: str | None = None
         cur_tag = ""
         cur_label = ClassLabel.WILD
@@ -563,9 +564,11 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
 
         def finish():
             if cur_id is not None:
-                samples.append(
-                    TimeSeriesSample(cur_id, cur_tag, cur_label, np.array(cur_rows))
-                )
+                if len(cur_rows) < 3:
+                    raise DataFormatError(
+                        f"sample {cur_id!r}: need at least 3 frames, got {len(cur_rows)}"
+                    )
+                samples.append((cur_id, cur_tag, cur_label, np.array(cur_rows)))
 
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -603,7 +606,7 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
 
     if not samples:
         raise DataFormatError(f"{path}: no data rows")
-    ids = [s.sample_id for s in samples]
+    ids = [sid for sid, _, _, _ in samples]
     if ids != sorted(ids):
         raise DataFormatError(f"{path}: rows are not sorted by sample_id")
     pairing = None
@@ -612,7 +615,13 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
         meta = read_manifest(manifest)
         if "wild_tag" in meta and "mutated_tag" in meta:
             pairing = (meta["wild_tag"], meta["mutated_tag"])
-    return Dataset(tuple(samples), pairing=pairing)
+    first_shape = samples[0][3].shape
+    for sid, _, _, frames in samples:
+        if frames.shape != first_shape:
+            raise DataFormatError(f"sample {sid!r} has shape {frames.shape}, expected {first_shape}")
+    tags = [tag for _, tag, _, _ in samples]
+    labels = [label for _, _, label, _ in samples]
+    return Dataset(np.stack([frames for _, _, _, frames in samples]), ids, tags, labels, pairing=pairing)
 
 
 def pca_fit_reference(data: np.ndarray, n_components: int) -> PcaModel:

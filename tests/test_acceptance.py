@@ -12,13 +12,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 import rootgrowth
 from rootgrowth.cli import RunConfig
-from rootgrowth.dataset import Dataset, SyntheticConfig, TimeSeriesSample, generate_synthetic
+from rootgrowth.dataset import Dataset, SyntheticConfig, generate_synthetic
 from rootgrowth.ensembles import (
     GatingNetwork,
     MlpNetwork,
@@ -108,11 +109,7 @@ def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _slice_dataset(ds: Dataset, start: int, end: int) -> Dataset:
-    samples = tuple(
-        TimeSeriesSample(s.sample_id, s.group_tag, s.label, s.frames[start : end + 1].copy())
-        for s in ds.samples
-    )
-    return Dataset(samples, pairing=ds.pairing)
+    return replace(ds, frames=ds.frames[:, start : end + 1].copy())
 
 
 def test_gate_1_single_step_deltas_match_finite_differences(capsys):

@@ -1,12 +1,18 @@
 """Config parsing, subcommand behavior, exit codes, and file outputs."""
 
 import dataclasses
+import gc
 import inspect
 import json
 import re
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
+import rootgrowth
 from rootgrowth import cli, svm
 from rootgrowth.cli import (
     RunConfig,
@@ -359,6 +365,25 @@ class TestFailFast:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("classifiers =", "classifiers list is empty"),
+            ("pairings = wt_syn:wt_syn", "pairings entry wt_syn:wt_syn needs two distinct non-empty tags"),
+            ("pairings = wt_syn:", "pairings entry wt_syn: needs two distinct non-empty tags"),
+            ("pairings = wt_syn:mut_syn, wt_syn:mut_syn", "pairings list contains duplicates"),
+        ],
+    )
+    def test_classifiers_and_pairings_checked_at_parse(self, tmp_path, monkeypatch, capsys, line, message):
+        name = line.split(" ")[0]
+        text = "".join(l + "\n" for l in TINY.strip().splitlines() if not l.startswith(name + " "))
+        cfg = write_config(tmp_path, text + line + "\n")
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_training_frames_bound_pca(self):
         # 2 + 2 samples in 2 folds: 2 training samples of 3 frames, so at
         # most 5 components even with 10 coordinates
@@ -554,6 +579,49 @@ class TestExitCodes:
             cli._stage("load-dataset", decode)
 
 
+class TestMemory:
+    @pytest.mark.parametrize("source", ["csv", "synthetic"])
+    def test_full_dataset_released_before_the_searches(self, tmp_path, monkeypatch, source):
+        # each pairing holds a copy of its rows, so the loaded or generated
+        # dataset must be gone by the time the first window search starts
+        if source == "csv":
+            data = tmp_path / "d.csv"
+            assert main(["generate", "--config", write_config(tmp_path, TINY), "--out", str(data)]) == 0
+            text = (
+                f"dataset = {data}\npairings = wt_syn:mut_syn, mut_syn:wt_syn\npca_components = 2\n"
+                "window_length = 8\nwindow_stride = 8\nfolds = 2\nclassifiers = linear_svm\n"
+            )
+        else:
+            text = TINY
+        refs, released = [], []
+
+        def keep(make):
+            def wrapper(*args, **kwargs):
+                ds = make(*args, **kwargs)
+                refs.append(weakref.ref(ds))
+                return ds
+
+            return wrapper
+
+        search = cli.window_search
+
+        def checked(*args, **kwargs):
+            gc.collect()
+            released.append(refs[0]() is None)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", keep(cli.load_csv))
+        monkeypatch.setattr(cli, "generate_synthetic", keep(cli.generate_synthetic))
+        monkeypatch.setattr(cli, "window_search", checked)
+        cfg = write_config(tmp_path, text, name="r.cfg")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert len(refs) == 1
+        assert released == [True] * (2 if source == "csv" else 1)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 class TestBenchmarkHooks:
     def test_wrapped_attributes_exist(self):
         # perfbench/child.py wraps these attributes by name for its traced
@@ -573,6 +641,54 @@ class TestBenchmarkHooks:
                 assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
         assert inspect.signature(svm.train_smo).parameters["tol"].default == svm.SMO_TOL
         assert {"ncl", "gated_ncl", "mnce"} <= set(ensembles.TRAINERS)
+
+    @pytest.mark.parametrize("source", ["csv", "synthetic"])
+    def test_traced_run_reads_the_real_objects(self, tmp_path, monkeypatch, source):
+        # the wrapped calls' attributes are read from the objects a real
+        # run passes and returns; a broken one fails the traced run
+        monkeypatch.syspath_prepend(str(BENCH))
+        import analysis
+        import workloads
+
+        common = dict(why="", n_frames=12, window_length=6, window_stride=6, folds=2, jobs=1)
+        if source == "csv":
+            groups = (("wtA", "wild"), ("mutA", "mutated"), ("wtB", "wild"), ("mutB", "mutated"))
+            shape = workloads.CsvShape(groups=groups, per_group=3, n_frames=12, n_coords=4)
+            workload = workloads.Workload(
+                name="tiny-csv", classifiers=("linear_svm", "gaussian_svm"),
+                keys=(("pca_components", 2),), pairings=(("wtA", "mutA"), ("wtB", "mutB")), csv=shape,
+                **common,
+            )
+            dataset = tmp_path / "tracks.csv"
+            workloads.write_tracks_csv(dataset, shape, 0)
+            rows_parsed = len(groups) * 3 * 12
+        else:
+            workload = workloads.Workload(
+                name="tiny-synthetic", classifiers=workloads.ALL_CLASSIFIERS,
+                keys=(("synthetic_n_per_class", 3), ("synthetic_n_frames", 12), ("synthetic_n_coords", 3),
+                      ("pca_components", 2), ("epochs", 1)),
+                **common,
+            )
+            dataset = "synthetic"
+            rows_parsed = 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(workload.config_text(0, str(dataset)))
+        stamp = tmp_path / "stamp.json"
+        src = Path(rootgrowth.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "child.py"), str(src), str(stamp), "1", "--",
+             "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads(stamp.read_text())["spans"]
+        assert analysis.coverage_problems(spans, workload) == []
+        metrics = analysis.layer_metrics(spans)
+        n_pairings = len(workload.pairings)
+        # 3 + 3 samples per pairing; each of the 2 folds trains on one of 2 halves
+        assert metrics["dataset.rows_parsed"] == rows_parsed
+        assert metrics["pca.fit_calls"] == 2 * n_pairings
+        assert metrics["pca.rows_fitted"] == n_pairings * 2 * 3 * 12
 
 
 class TestRenderTable:

@@ -9,7 +9,6 @@ from rootgrowth.dataset import (
     ClassLabel,
     Dataset,
     SyntheticConfig,
-    TimeSeriesSample,
     class_mean_trajectory,
     generate_synthetic,
     load_csv,
@@ -22,21 +21,11 @@ from rootgrowth.errors import ConfigError, DataFormatError
 from oracles import load_csv_reference
 
 
-def make_sample(sid="s0", tag="wt", label=ClassLabel.WILD, t=5, d=2, fill=0.0):
-    return TimeSeriesSample(sid, tag, label, np.full((t, d), fill))
-
-
-def all_frames(ds):
-    return np.stack([s.frames for s in ds.samples])
-
-
-def make_dataset(t=5, d=2):
-    return Dataset(
-        (
-            make_sample("a0", "wt", ClassLabel.WILD, t, d, 0.0),
-            make_sample("b0", "mut", ClassLabel.MUTATED, t, d, 1.0),
-        )
-    )
+def make_dataset(t=5, d=2, tags=("wt", "mut"), labels=(ClassLabel.WILD, ClassLabel.MUTATED)):
+    """Sample i has id ``s<i>`` and every coordinate equal to i."""
+    n = len(tags)
+    frames = np.arange(n, dtype=np.float64)[:, None, None] * np.ones((n, t, d))
+    return Dataset(frames, [f"s{i}" for i in range(n)], tags, labels)
 
 
 class TestLabels:
@@ -54,34 +43,32 @@ class TestLabels:
 
 class TestSample:
     def test_frames_frozen(self):
-        s = make_sample()
+        ds = make_dataset()
         with pytest.raises(ValueError):
-            s.frames[0, 0] = 9.0
+            ds.frames[0, 0, 0] = 9.0
 
     def test_too_few_frames(self):
         with pytest.raises(DataFormatError, match="at least 3 frames"):
-            make_sample(t=2)
+            make_dataset(t=2)
 
     def test_non_finite_rejected(self):
-        frames = np.zeros((4, 2))
-        frames[1, 0] = np.nan
+        frames = np.zeros((2, 4, 2))
+        frames[1, 1, 0] = np.nan
         with pytest.raises(DataFormatError, match="non-finite"):
-            TimeSeriesSample("s", "g", ClassLabel.WILD, frames)
+            Dataset(frames, ["a", "b"], ["g", "g"], [ClassLabel.WILD, ClassLabel.MUTATED])
 
 
 class TestDataset:
     def test_shape_mismatch(self):
-        with pytest.raises(DataFormatError, match="expected"):
-            Dataset(
-                (
-                    make_sample("a", t=5),
-                    make_sample("b", label=ClassLabel.MUTATED, t=6),
-                )
-            )
+        # one id, tag or label per sample
+        with pytest.raises(DataFormatError, match="sample_ids: 3 entries for 2 samples"):
+            Dataset(np.zeros((2, 5, 2)), ["a", "b", "c"], ["g", "g"], [ClassLabel.WILD, ClassLabel.MUTATED])
+        with pytest.raises(DataFormatError, match=r"3-D \(n, T, d\)"):
+            Dataset(np.zeros((5, 2)), ["a"], ["g"], [ClassLabel.WILD])
 
     def test_single_class_rejected(self):
         with pytest.raises(DataFormatError, match="single class"):
-            Dataset((make_sample("a"), make_sample("b")))
+            make_dataset(labels=(ClassLabel.WILD, ClassLabel.WILD))
 
     def test_label_vectors(self):
         ds = make_dataset()
@@ -90,25 +77,25 @@ class TestDataset:
 
 class TestPairingSplit:
     def make_multi(self):
-        samples = (
-            make_sample("a0", "wtL2", ClassLabel.WILD),
-            make_sample("a1", "wtL2", ClassLabel.WILD),
-            make_sample("b0", "331L2", ClassLabel.MUTATED),
-            make_sample("c0", "332L2", ClassLabel.MUTATED),
+        return make_dataset(
+            tags=("wtL2", "wtL2", "331L2", "332L2"),
+            labels=(ClassLabel.WILD, ClassLabel.WILD, ClassLabel.MUTATED, ClassLabel.MUTATED),
         )
-        return Dataset(samples)
 
     def test_selects_and_relabels(self):
-        sub = split_by_pairing(self.make_multi(), "wtL2", "331L2")
-        assert [s.sample_id for s in sub.samples] == ["a0", "a1", "b0"]
+        ds = self.make_multi()
+        sub = split_by_pairing(ds, "wtL2", "331L2")
+        assert sub.sample_ids == ("s0", "s1", "s2")
+        assert sub.tags == ("wtL2", "wtL2", "331L2")
+        assert np.array_equal(sub.frames, ds.frames[:3])
         assert sub.pairing == ("wtL2", "331L2")
 
     def test_tags_override_stored_labels(self):
         # swap roles: the mutated group plays wild type in this pairing
         sub = split_by_pairing(self.make_multi(), "331L2", "wtL2")
-        by_id = {s.sample_id: s.label for s in sub.samples}
-        assert by_id["b0"] is ClassLabel.WILD
-        assert by_id["a0"] is ClassLabel.MUTATED
+        by_id = dict(zip(sub.sample_ids, sub.labels))
+        assert by_id["s2"] is ClassLabel.WILD
+        assert by_id["s0"] is ClassLabel.MUTATED
 
     def test_missing_tag(self):
         with pytest.raises(DataFormatError, match="nope"):
@@ -125,13 +112,11 @@ class TestCsvRoundTrip:
         path = tmp_path / "ds.csv"
         write_csv(ds, path)
         back = load_csv(path)
-        assert back.n_samples == ds.n_samples
-        by_id = sorted(ds.samples, key=lambda s: s.sample_id)  # files are id-sorted
-        for orig, loaded in zip(by_id, back.samples):
-            assert loaded.sample_id == orig.sample_id
-            assert loaded.group_tag == orig.group_tag
-            assert loaded.label is orig.label
-            assert np.array_equal(loaded.frames, orig.frames)
+        order = np.argsort(ds.sample_ids, kind="stable")  # files are id-sorted
+        assert back.sample_ids == tuple(ds.sample_ids[i] for i in order)
+        assert back.tags == tuple(ds.tags[i] for i in order)
+        assert back.labels == tuple(ds.labels[i] for i in order)
+        assert np.array_equal(back.frames, ds.frames[order])
         assert back.pairing == ds.pairing
 
     def test_rewrite_identical_bytes(self, tmp_path):
@@ -286,8 +271,7 @@ def load_outcome(load, path):
         ds = load(path)
     except Exception as exc:  # the reference may raise csv's own errors
         return ("error", type(exc).__name__, str(exc))
-    samples = [(s.sample_id, s.group_tag, s.label, s.frames.shape, s.frames.tobytes()) for s in ds.samples]
-    return ("ok", ds.pairing, samples)
+    return ("ok", ds.pairing, ds.sample_ids, ds.tags, ds.labels, ds.frames.shape, ds.frames.tobytes())
 
 
 class TestLoaderMatchesReference:
@@ -335,7 +319,7 @@ class TestLoaderMatchesReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        frames = sum(s.frames.nbytes for s in loaded.samples)
+        frames = loaded.frames.nbytes
         assert peak < 1.5 * frames, f"peak {peak} B for {frames} B of frames"
 
 
@@ -344,12 +328,12 @@ class TestSynthetic:
         cfg = SyntheticConfig(n_per_class=4, n_frames=10, n_coords=2, seed=9)
         a = generate_synthetic(cfg)
         b = generate_synthetic(cfg)
-        assert np.array_equal(all_frames(a), all_frames(b))
+        assert np.array_equal(a.frames, b.frames)
 
     def test_seed_changes_data(self):
         cfg = SyntheticConfig(n_per_class=4, n_frames=10, n_coords=2, seed=9)
         other = generate_synthetic(SyntheticConfig(n_per_class=4, n_frames=10, n_coords=2, seed=10))
-        assert not np.array_equal(all_frames(generate_synthetic(cfg)), all_frames(other))
+        assert not np.array_equal(generate_synthetic(cfg).frames, other.frames)
 
     def test_mean_trajectory_quadratic(self):
         cfg = SyntheticConfig(
@@ -365,7 +349,7 @@ class TestSynthetic:
         cfg = SyntheticConfig(n_per_class=2, n_frames=8, n_coords=2, noise_sd=0.0)
         ds = generate_synthetic(cfg)
         wild = class_mean_trajectory(cfg, ClassLabel.WILD)
-        assert np.array_equal(ds.samples[0].frames, wild)
+        assert np.array_equal(ds.frames[0], wild)
 
     def test_signal_window_confined(self):
         cfg = SyntheticConfig(
@@ -404,7 +388,7 @@ class TestSynthetic:
         cfg = SyntheticConfig(n_per_class=2, n_frames=6, n_coords=2, noise_sd=0.0, intercept_sd=1.0)
         ds = generate_synthetic(cfg)
         mean = class_mean_trajectory(cfg, ClassLabel.WILD)
-        offset = ds.samples[0].frames - mean
+        offset = ds.frames[0] - mean
         assert np.allclose(offset, offset[0][None, :])
         assert not np.allclose(offset, 0.0)
 

@@ -1,10 +1,12 @@
 """Folds, classifiers, window search, and leakage checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rootgrowth import ensembles, evaluation, svm
-from rootgrowth.dataset import ClassLabel, SyntheticConfig, TimeSeriesSample, Dataset, generate_synthetic
+from rootgrowth.dataset import ClassLabel, SyntheticConfig, Dataset, generate_synthetic
 from rootgrowth.ensembles import TrainConfig
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
 from rootgrowth.evaluation import (
@@ -121,6 +123,12 @@ class TestFitClassifier:
             model = fit_classifier(ClassifierSpec(kind, train=train), x, y, seed=1)
             preds = predict_labels(model, x)
             assert set(np.unique(preds)).issubset({0, 1}), kind
+
+
+def four_and_four(frames):
+    """Samples s0..s7 from a list of eight (T, d) arrays: four wild, then four mutated."""
+    labels = [ClassLabel.WILD] * 4 + [ClassLabel.MUTATED] * 4
+    return Dataset(np.stack(frames), [f"s{i}" for i in range(8)], [label.value for label in labels], labels)
 
 
 def toy_dataset(signal=False, n_per_class=4, t=12, seed=0):
@@ -245,24 +253,20 @@ class TestWindowSearch:
         # products on the huge rows
         rng = np.random.default_rng(2)
         big = np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 1.0], [-3.0, -1.0], [0.0, 0.0]]) * 2.0**450
-        samples = []
-        for i in range(8):
-            label = ClassLabel.WILD if i < 4 else ClassLabel.MUTATED
-            frames = big * (1 + i % 3) if i % 2 == 0 else rng.standard_normal((5, 2))
-            samples.append(TimeSeriesSample(f"s{i}", label.value, label, frames))
+        frames = [big * (1 + i % 3) if i % 2 == 0 else rng.standard_normal((5, 2)) for i in range(8)]
         spec = ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=2, eta_experts=1e250))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=r"window \(0, 4\), fold 0: non-finite weights after epoch 0"):
-                window_search(Dataset(tuple(samples)), [spec], WindowSpec(5, 1), 2, 0, n_components=1)
+                window_search(four_and_four(frames), [spec], WindowSpec(5, 1), 2, 0, n_components=1)
 
 
     def test_fold_pca_error_names_the_fold(self):
         # one sample scaled by 2^1016: the squared singular values of the
         # PCA of the fold that trains on it overflow
         ds = toy_dataset()
-        first = ds.samples[0]
-        huge = TimeSeriesSample(first.sample_id, first.group_tag, first.label, first.frames * 2.0**1016)
-        ds = Dataset((huge,) + ds.samples[1:], pairing=ds.pairing)
+        frames = ds.frames.copy()
+        frames[0] *= 2.0**1016
+        ds = replace(ds, frames=frames)
         folds = kfold_split(ds.n_samples, 2, ds.labels_unit(), 0)
         fold = next(k for k, test_idx in enumerate(folds) if 0 not in test_idx)
         with np.errstate(over="ignore"):
@@ -320,14 +324,10 @@ class TestSolverReports:
         # from the scores (A) alone, stay finite
         rng = np.random.default_rng(5)
         signs = np.array([1.0, -1.0] * 3)[:, None]
-        samples = []
-        for i in range(8):
-            label = ClassLabel.WILD if i < 4 else ClassLabel.MUTATED
-            frames = signs * np.array([1.0, 2.0]) * 2.0**508 if i == 0 else rng.standard_normal((6, 2))
-            samples.append(TimeSeriesSample(f"s{i}", label.value, label, frames))
+        frames = [signs * np.array([1.0, 2.0]) * 2.0**508 if i == 0 else rng.standard_normal((6, 2)) for i in range(8)]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=rf"window \(0, 5\), fold \d: {message}"):
-                window_search(Dataset(tuple(samples)), [ClassifierSpec(kind)], WindowSpec(6, 1), 2, 0, n_components=1)
+                window_search(four_and_four(frames), [ClassifierSpec(kind)], WindowSpec(6, 1), 2, 0, n_components=1)
 
 
 class TestNoLeakage:
@@ -335,13 +335,10 @@ class TestNoLeakage:
 
     def scramble_test_rows(self, ds, test_idx):
         rng = np.random.default_rng(99)
-        samples = list(ds.samples)
+        frames = ds.frames.copy()
         for i in test_idx:
-            s = samples[int(i)]
-            samples[int(i)] = TimeSeriesSample(
-                s.sample_id, s.group_tag, s.label, rng.standard_normal(s.frames.shape) * 50.0
-            )
-        return Dataset(tuple(samples), pairing=ds.pairing)
+            frames[int(i)] = rng.standard_normal(frames.shape[1:]) * 50.0
+        return replace(ds, frames=frames)
 
     def test_fold_pca_ignores_test_samples(self):
         ds = toy_dataset()

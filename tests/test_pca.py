@@ -112,7 +112,7 @@ class TestRankDeficient:
 
 def _synthetic_frames(n_coords, n_frames, seed):
     ds = generate_synthetic(SyntheticConfig(n_per_class=8, n_frames=n_frames, n_coords=n_coords, seed=seed))
-    return np.vstack([s.frames for s in ds.samples])
+    return ds.frames.reshape(-1, n_coords)
 
 
 def _random_shape(seed):
