@@ -1,11 +1,14 @@
 """Neural ensembles: negative correlation, mixtures of experts, and hybrids.
 
 Every expert is a one-hidden-layer MLP with sigmoid activations at both
-layers and a trailing bias weight per layer. The trainers run one
-stacked engine in which a pattern step updates all experts at once,
-bitwise as the update rules stated one expert and one pattern at a
-time would (those single-pattern rules, with the reference trainers
-built on them, are in tests/oracles.py):
+layers and a trailing bias weight per layer; a gate is the same network
+with one output per expert. The trainers run one stacked engine that
+draws every weight of a fit, experts and a mixture's gate, into one
+stack per layer. A pattern step updates all of them at once, bitwise as
+the update rules stated one network and one pattern at a time would
+(those single-pattern rules, with the reference trainers built on them,
+are in tests/oracles.py). A trained model's networks are read-only
+views of the stacks the engine trained:
 
   ncl        experts trained together, each on its squared error plus
              lambda times the correlation penalty; simple averaging.
@@ -67,39 +70,26 @@ class TrainConfig:
 
 @dataclass
 class MlpNetwork:
-    """One-hidden-layer sigmoid MLP; bias is the last column of each layer."""
+    """One-hidden-layer sigmoid MLP; bias is the last column of each layer.
+
+    An expert has one output. A gate has one per expert, and the softmax
+    of its sigmoid outputs gives the experts' weights.
+    """
 
     w_hidden: np.ndarray  # (hidden, n_inputs + 1)
-    w_out: np.ndarray  # (1, hidden + 1)
+    w_out: np.ndarray  # (n_outputs, hidden + 1)
 
     @property
     def n_inputs(self) -> int:
         return self.w_hidden.shape[1] - 1
 
 
-@dataclass
-class GatingNetwork:
-    """MLP whose sigmoid outputs pass through a softmax to give weights."""
-
-    w_hidden: np.ndarray  # (hidden, n_inputs + 1)
-    w_out: np.ndarray  # (n_experts, hidden + 1)
-
-
-def init_mlp(n_inputs: int, hidden: int, seed: int) -> MlpNetwork:
-    """Fresh expert with weights uniform on [-0.5, 0.5]."""
+def init_mlp(n_inputs: int, hidden: int, seed: int, n_outputs: int = 1) -> MlpNetwork:
+    """Fresh network with weights uniform on [-0.5, 0.5], hidden layer drawn first."""
     rng = np.random.default_rng(seed)
     return MlpNetwork(
         w_hidden=rng.uniform(-0.5, 0.5, (hidden, n_inputs + 1)),
-        w_out=rng.uniform(-0.5, 0.5, (1, hidden + 1)),
-    )
-
-
-def init_gate(n_inputs: int, hidden: int, n_experts: int, seed: int) -> GatingNetwork:
-    """Fresh gate with weights uniform on [-0.5, 0.5]."""
-    rng = np.random.default_rng(seed)
-    return GatingNetwork(
-        w_hidden=rng.uniform(-0.5, 0.5, (hidden, n_inputs + 1)),
-        w_out=rng.uniform(-0.5, 0.5, (n_experts, hidden + 1)),
+        w_out=rng.uniform(-0.5, 0.5, (n_outputs, hidden + 1)),
     )
 
 
@@ -123,8 +113,7 @@ class EnsembleModel:
 
     variant: str
     experts: tuple[MlpNetwork, ...]
-    gate: GatingNetwork | None
-    lam: float
+    gate: MlpNetwork | None
     config: TrainConfig
 
     def __post_init__(self):
@@ -158,14 +147,18 @@ def _ensure_finite(epoch, *arrays):
             raise NumericError(f"non-finite weights after epoch {epoch}")
 
 
-def _freeze(model: EnsembleModel) -> EnsembleModel:
-    for net in model.experts:
-        net.w_hidden.flags.writeable = False
-        net.w_out.flags.writeable = False
-    if model.gate is not None:
-        model.gate.w_hidden.flags.writeable = False
-        model.gate.w_out.flags.writeable = False
-    return model
+def _model(variant, cfg, wh, wo, gate=None) -> EnsembleModel:
+    """The trained model as read-only views of the stacks: expert i is
+    slice i, and a mixture's gate is slice M, unless ``gate`` (gated
+    NCL's, trained apart) is given. The arrays are frozen before any view
+    is made, because a view made earlier would stay writeable."""
+    m = cfg.n_experts
+    for a in (wh, wo) if gate is None else (wh, wo, gate.w_hidden, gate.w_out):
+        a.flags.writeable = False
+    if len(wh) > m:
+        gate = MlpNetwork(wh[m], wo[m:])
+    experts = tuple(MlpNetwork(wh[i], wo[i : i + 1]) for i in range(m))
+    return EnsembleModel(variant, experts, gate, cfg)
 
 
 def _augment(x):
@@ -216,16 +209,14 @@ def _sigmoids(neg_pre):
     return [1.0 / (1.0 + e) for e in np.exp(neg_pre).tolist()]
 
 
-def _expert_views(wh, wo) -> tuple[MlpNetwork, ...]:
-    return tuple(MlpNetwork(wh[i], wo[i]) for i in range(len(wh)))
-
-
-def _experts_forward(wh, wo, x_aug):
-    """Hidden activations (..., M, H) and outputs (..., M) of every expert
-    for one augmented input (d+1,) or for each row of a batch (n, d+1)."""
-    o_h = _sigmoid(np.matmul(wh, x_aug[..., None, :, None])[..., 0])
-    o = _sigmoid(np.matmul(wo[:, :, :-1], o_h[..., None])[..., 0, 0] + wo[:, 0, -1])
-    return o_h, o
+def _forward(wh, wo, x_aug):
+    """Sigmoid outputs (n, S * O) of a stack of S networks with O outputs
+    each, wh (S, H, d+1) and wo (S, O, H+1), for each row of a batch
+    (n, d+1): the experts as S = M, O = 1 and the gate as S = 1, O = M.
+    Every row's products are those of its single-row forward passes."""
+    o_h = _sigmoid(np.matmul(wh, x_aug[:, None, :, None])[..., 0])
+    o = _sigmoid(np.matmul(wo[..., :-1], o_h[..., None])[..., 0] + wo[..., -1])
+    return o.reshape(len(x_aug), -1)
 
 
 def _ncl_errors(t, o, lam):
@@ -273,10 +264,9 @@ def _gate_backprop(gx, act, osig, resid, eta):
     return d_hid, rows
 
 
-def _train_experts(x, y, cfg, lam, gate):
-    """Train the stacked experts jointly; returns their weights as
-    (M, H, d+1) and (M, 1, H+1) views. A given gate is trained in place
-    and left holding views of the stacks.
+def _train_experts(x, y, cfg, lam, mixture):
+    """Draw and train the stacked experts, and for a mixture the gate,
+    jointly; returns the stacks wh (M[+1], H, d+1) and wo (M[+M], H+1).
 
     All experts see the same shuffled pattern sequence. Without a gate
     each expert steps on its NCL error. With one, the posterior h
@@ -288,21 +278,15 @@ def _train_experts(x, y, cfg, lam, gate):
     nets = [
         init_mlp(x.shape[1], hid, derive(cfg.seed, "expert-init", i)) for i in range(m)
     ]
-    hidden = [net.w_hidden for net in nets]
-    outputs = [net.w_out for net in nets]
-    if gate is not None:
-        hidden.append(gate.w_hidden)
-        outputs.append(gate.w_out)
-    wh = np.stack(hidden)
-    wo = np.concatenate(outputs)
+    if mixture:
+        nets.append(init_mlp(x.shape[1], hid, derive(cfg.seed, "gate-init"), n_outputs=m))
+    wh = np.stack([net.w_hidden for net in nets])
+    wo = np.concatenate([net.w_out for net in nets])
     # flat views: one hidden neuron's weights per row, output weights in row order
     wh_rows, wo_flat = wh.reshape(-1, wh.shape[2]), wo.reshape(-1)
     inc = np.empty_like(wh_rows)
-    wo_experts = wo[:m].reshape(m, 1, hid + 1)
-    wx = wo_experts[:, :, :hid]
-    if gate is not None:
-        gate.w_hidden, gate.w_out = wh[m], wo[m:]
-        gx = gate.w_out[:, :hid]
+    wx = wo[:m].reshape(m, 1, hid + 1)[:, :, :hid]
+    gx = wo[m:, :hid]
     eta = cfg.eta_experts
     targets = y.tolist()
     rng = np.random.default_rng(derive(cfg.seed, "shuffle"))
@@ -312,15 +296,15 @@ def _train_experts(x, y, cfg, lam, gate):
             act = _sigmoid(np.matmul(wh, xa))
             w = wo.tolist()
             dots = np.matmul(wx, act[:m, :, None]).ravel().tolist()
-            if gate is not None:
+            if mixture:
                 dots += (gx @ act[m]).tolist()
             sig = _sigmoids([-(s + wi[hid]) for s, wi in zip(dots, w)])
             o = sig[:m]
-            if gate is None:
-                err = _ncl_errors(t, o, lam)
-            else:
+            if mixture:
                 osig = sig[m:]
                 g, h, err = _mixture_signals(t, o, osig, lam)
+            else:
+                err = _ncl_errors(t, o, lam)
             a = act.tolist()
             d_out = [(er * v) * (1.0 - v) for er, v in zip(err, o)]
             d_hid = [
@@ -329,19 +313,19 @@ def _train_experts(x, y, cfg, lam, gate):
                 for wj, aj in zip(wi, ai)
             ]
             rows = [eta * (d * aj) for d, ai in zip(d_out, a) for aj in (*ai, 1.0)]
-            if gate is not None:
+            if mixture:
                 resid = [hi - gi for hi, gi in zip(h, g)]
                 gate_hid, gate_rows = _gate_backprop(gx, a[m], osig, resid, cfg.eta_gate)
                 d_hid += gate_hid
                 rows += gate_rows
             np.multiply.outer(d_hid, xa, out=inc)
             inc[: m * hid] *= eta
-            if gate is not None:
+            if mixture:
                 inc[m * hid :] *= cfg.eta_gate
             wh_rows += inc
             wo_flat += rows
         _ensure_finite(epoch, wh, wo)
-    return wh[:m], wo_experts
+    return wh, wo
 
 
 def train_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> EnsembleModel:
@@ -353,8 +337,7 @@ def train_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> Ens
     independent backprop for every expert.
     """
     x, y = _check_training_inputs(x, y, lam)
-    wh, wo = _train_experts(x, y, cfg, lam, None)
-    return _freeze(EnsembleModel("ncl", _expert_views(wh, wo), None, lam, cfg))
+    return _model("ncl", cfg, *_train_experts(x, y, cfg, lam, mixture=False))
 
 
 def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> EnsembleModel:
@@ -365,11 +348,12 @@ def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) 
     pattern's shares are computed once, before the first gate epoch.
     """
     x, y = _check_training_inputs(x, y, lam)
-    wh, wo = _train_experts(x, y, cfg, lam, None)
+    wh, wo = _train_experts(x, y, cfg, lam, mixture=False)
     x_aug = _augment(x)
     # the batched forward pass gives each row bitwise its single-row outputs
-    shares = np.array([gncl_target(t, o) for o, t in zip(_experts_forward(wh, wo, x_aug)[1], y)])
-    gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
+    outs = _forward(wh, wo.reshape(len(wo), 1, -1), x_aug)
+    shares = np.array([gncl_target(t, o) for o, t in zip(outs, y)])
+    gate = init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "gate-init"), n_outputs=cfg.n_experts)
     # gate-only steps: the gate half of the mixture step, toward the shares
     hid = cfg.hidden
     gx, wo_flat = gate.w_out[:, :hid], gate.w_out.reshape(-1)
@@ -388,7 +372,7 @@ def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) 
             gate.w_hidden += cfg.eta_gate * np.multiply.outer(d_hid, xa)
             wo_flat += rows
         _ensure_finite(epoch, gate.w_hidden, gate.w_out)
-    return _freeze(EnsembleModel("gated_ncl", _expert_views(wh, wo), gate, lam, cfg))
+    return _model("gated_ncl", cfg, wh, wo, gate)
 
 
 def train_mnce(
@@ -402,9 +386,7 @@ def train_mnce(
     in both the posterior and the expert errors.
     """
     x, y = _check_training_inputs(x, y, lam)
-    gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
-    wh, wo = _train_experts(x, y, cfg, lam, gate)
-    return _freeze(EnsembleModel(variant, _expert_views(wh, wo), gate, lam, cfg))
+    return _model(variant, cfg, *_train_experts(x, y, cfg, lam, mixture=True))
 
 
 def train_me(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> EnsembleModel:
@@ -440,7 +422,7 @@ def predict_batch(model: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, np.n
     if not np.isfinite(x).all():
         raise DataFormatError("input contains non-finite values")
     x_aug = _augment(x)
-    _, outs = _experts_forward(
+    outs = _forward(
         np.stack([net.w_hidden for net in model.experts]),
         np.stack([net.w_out for net in model.experts]),
         x_aug,
@@ -448,9 +430,7 @@ def predict_batch(model: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, np.n
     if model.gate is None:
         outputs = outs.mean(axis=1)
     else:
-        gh, go = model.gate.w_hidden, model.gate.w_out
-        g_h = _sigmoid(np.matmul(gh, x_aug[:, :, None])[..., 0])
-        o_sig = _sigmoid(np.matmul(go[:, :-1], g_h[:, :, None])[..., 0] + go[:, -1])
+        o_sig = _forward(model.gate.w_hidden[None], model.gate.w_out[None], x_aug)
         e = np.exp(o_sig - o_sig.max(axis=1, keepdims=True))
         g = e / e.sum(axis=1, keepdims=True)
         outputs = np.matmul(outs[:, None, :], g[:, :, None])[:, 0, 0]

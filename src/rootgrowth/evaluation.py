@@ -101,7 +101,7 @@ def fit_classifier(
 def predict_labels(model, x: np.ndarray) -> np.ndarray:
     """Unit labels from either model family; a tie goes to class 0."""
     if isinstance(model, svm.SvmModel):
-        return (np.asarray(svm.decision_function(model, x)) > 0).astype(np.int64)
+        return (svm.decision_function(model, x) > 0).astype(np.int64)
     _, labels = ensembles.predict_batch(model, x)
     return labels
 

@@ -262,7 +262,7 @@ def train_smo(
         if j < 0 or gap <= tol or step == budget:
             u = [yr * (gr + 1.0) for yr, gr in zip(labels, grad)]  # u = K (alpha * y)
             bias = _bias(alpha, u, labels, cf)
-            _, residual = _worst_violator(alpha, u, labels, bias, cf)
+            residual = _worst_violator(alpha, u, labels, bias, cf)
             if j < 0 or residual <= tol or step == budget:
                 break
         _take_step(i, j, alpha, grad, labels, rows, qrows, cf)
@@ -381,15 +381,15 @@ def _bias(alpha, u, y, c) -> float:
     return 0.5 * (lower + upper)
 
 
-def _worst_violator(alpha, u, y, bias, c) -> tuple[int, float]:
-    """Index and size of the largest KKT violation, the first on ties.
+def _worst_violator(alpha, u, y, bias, c) -> float:
+    """Size of the largest KKT violation.
 
     A satisfied bound condition reads as a negative violation, which the
-    scan treats as the 0 it is clamped to; so the result is np.argmax and
-    np.max of the clamped violations, a NaN winning as it does there.
+    scan treats as the 0 it is clamped to; so the result is np.max of the
+    clamped violations, a NaN winning as it does there.
     """
-    worst, at = 0.0, 0
-    for r, (ar, ur, yr) in enumerate(zip(alpha, u, y)):
+    worst = 0.0
+    for ar, ur, yr in zip(alpha, u, y):
         yf = yr * (ur + bias)
         if ar == 0.0:
             v = 1.0 - yf  # y f(x) >= 1
@@ -398,21 +398,14 @@ def _worst_violator(alpha, u, y, bias, c) -> tuple[int, float]:
         else:
             v = yf - 1.0 if yf > 1.0 else 1.0 - yf  # unbound: y f(x) = 1
         if v > worst:
-            worst, at = v, r
+            worst = v
         elif v != v:
-            return r, v
-    return at, worst
+            return v
+    return worst
 
 
-def decision_function(model: SvmModel, x: np.ndarray) -> np.ndarray | float:
-    """f(x) = sum_i coef_i K(sv_i, x) + b; scalar for a single point."""
-    pts = np.asarray(x, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
+def decision_function(model: SvmModel, x: np.ndarray) -> np.ndarray:
+    """f(x) = sum_i coef_i K(sv_i, x) + b for each row of x (n, d)."""
     if model.n_support == 0:
-        f = np.full(pts.shape[0], model.bias)
-    else:
-        f = model.coef @ cross_gram(model.kernel, model.support_vectors, pts)
-        f = f + model.bias
-    return float(f[0]) if single else f
+        return np.full(x.shape[0], model.bias)
+    return model.coef @ cross_gram(model.kernel, model.support_vectors, x) + model.bias

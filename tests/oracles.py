@@ -13,8 +13,9 @@ replaced:
   checks against finite differences; and plain backprop, the reference
   trainers and the per-row ensemble output built on them, which pin
   down what the stacked trainers and `predict_batch` compute. They use
-  the package's network types and initialisers, `gncl_target` and the
-  seed derivation;
+  the package's one network type (a gate is an `MlpNetwork` with one
+  output per expert) and its initialiser, drawing each network as the
+  stacked engine does, `gncl_target` and the seed derivation;
 - the reference SMO solver, which builds its kernel matrix with the
   package's `resolve` and `gram_matrix` and then runs the second-order
   working-set loop in numpy vector form, with boolean index sets, a
@@ -42,7 +43,7 @@ import struct
 import numpy as np
 
 from rootgrowth.dataset import ClassLabel, Dataset, _check_header, _manifest_path, read_manifest
-from rootgrowth.ensembles import EnsembleModel, GatingNetwork, MlpNetwork, TrainConfig, gncl_target, init_gate, init_mlp
+from rootgrowth.ensembles import EnsembleModel, MlpNetwork, TrainConfig, gncl_target, init_mlp
 from rootgrowth.errors import DataFormatError, NumericError
 from rootgrowth.pca import _MAGIC, _VERSION, PcaModel, _fix_signs, max_components
 from rootgrowth.seeding import derive
@@ -224,7 +225,7 @@ def mlp_forward(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, float]:
     return _forward(net.w_hidden, net.w_out, np.append(x, 1.0))
 
 
-def gate_forward(gate: GatingNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def gate_forward(gate: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hidden activations, sigmoid outputs, and softmax weights g."""
     o_h = _sigmoid(gate.w_hidden @ np.append(x, 1.0))
     o_sig = _sigmoid(gate.w_out[:, :-1] @ o_h + gate.w_out[:, -1])
@@ -361,7 +362,7 @@ def reference_gated_ncl(x, y, cfg, lam):
     nets, _ = reference_ncl(x, y, cfg, lam)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
+    gate = init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "gate-init"), n_outputs=cfg.n_experts)
     rng = np.random.default_rng(derive(cfg.seed, "gate-shuffle"))
     for epoch in range(cfg.epochs):
         for idx in rng.permutation(len(y)):
@@ -382,7 +383,7 @@ def reference_mnce(x, y, cfg, lam):
         init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "expert-init", i))
         for i in range(cfg.n_experts)
     ]
-    gate = init_gate(x.shape[1], cfg.hidden, cfg.n_experts, derive(cfg.seed, "gate-init"))
+    gate = init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "gate-init"), n_outputs=cfg.n_experts)
     rng = np.random.default_rng(derive(cfg.seed, "shuffle"))
     for epoch in range(cfg.epochs):
         for idx in rng.permutation(len(y)):

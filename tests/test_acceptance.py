@@ -21,11 +21,9 @@ import rootgrowth
 from rootgrowth.cli import RunConfig
 from rootgrowth.dataset import Dataset, SyntheticConfig, generate_synthetic
 from rootgrowth.ensembles import (
-    GatingNetwork,
     MlpNetwork,
     TrainConfig,
     gncl_target,
-    init_gate,
     init_mlp,
     train_me,
     train_mnce,
@@ -132,7 +130,7 @@ def test_gate_1_single_step_deltas_match_finite_differences(capsys):
             x = rng.standard_normal(d) * 1.5
             x_aug = np.append(x, 1.0)
             nets = [init_mlp(d, hid, seed=int(rng.integers(1 << 30))) for _ in range(m)]
-            gate = init_gate(d, hid, m, seed=int(rng.integers(1 << 30)))
+            gate = init_mlp(d, hid, seed=int(rng.integers(1 << 30)), n_outputs=m)
             for net in nets + [gate]:
                 net.w_hidden *= rng.uniform(0.5, 2.0)
                 net.w_out *= rng.uniform(0.5, 2.0)
@@ -151,7 +149,7 @@ def test_gate_1_single_step_deltas_match_finite_differences(capsys):
 
             def probe_sig(flat):
                 wh, wo = _unflat(flat, gate.w_hidden.shape, gate.w_out.shape)
-                return gate_forward(GatingNetwork(wh, wo), x)[1]
+                return gate_forward(MlpNetwork(wh, wo), x)[1]
 
             def check(delta, objective, at):
                 nonlocal worst, checks

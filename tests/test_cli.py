@@ -689,6 +689,20 @@ class TestBenchmarkHooks:
         assert metrics["dataset.rows_parsed"] == rows_parsed
         assert metrics["pca.fit_calls"] == 2 * n_pairings
         assert metrics["pca.rows_fitted"] == n_pairings * 2 * 3 * 12
+        if source == "synthetic":
+            # each fit's experts, M networks of H hidden neurons over the
+            # window's 3L - 3 frame vectors of k = 2 scores, plus a gate with
+            # one output per expert for the three gated kinds (4128 and 5280
+            # bytes, mean 4992)
+            m, hid = RunConfig.n_experts, RunConfig.hidden
+            columns = (3 * workload.window_length - 3) * 2
+            experts = 8 * m * (hid * (columns + 1) + hid + 1)
+            gate = 8 * (hid * (columns + 1) + m * (hid + 1))
+            assert metrics["ensembles.weight_bytes"] == (experts + 3 * (experts + gate)) / 4
+            # 3 training rows per fold and 1 epoch; gated NCL steps through
+            # them twice, once per stage (60 steps)
+            steps_per_epoch = 1 + 2 + 1 + 1
+            assert metrics["ensembles.pattern_steps"] == workload.fits_per_classifier * 3 * steps_per_epoch
 
 
 class TestRenderTable:

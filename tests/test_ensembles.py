@@ -7,11 +7,9 @@ from rootgrowth import ensembles
 from rootgrowth.ensembles import (
     TRAINERS,
     EnsembleModel,
-    GatingNetwork,
     MlpNetwork,
     TrainConfig,
     gncl_target,
-    init_gate,
     init_mlp,
     predict_batch,
     train_gated_ncl,
@@ -150,14 +148,14 @@ class TestIncrementGradients:
 
     def test_gate_increments_descend_frozen_residual_loss(self):
         rng = np.random.default_rng(21)
-        gate = init_gate(3, 2, n_experts=4, seed=2)
+        gate = init_mlp(3, 2, seed=2, n_outputs=4)
         x = rng.standard_normal(3)
         x_aug = np.append(x, 1.0)
         resid = rng.standard_normal(4) * 0.3  # frozen h - g surrogate
 
         def loss(flat):
             wh, wo = unflatten_net(flat, gate.w_hidden.shape, gate.w_out.shape)
-            probe = GatingNetwork(wh, wo)
+            probe = MlpNetwork(wh, wo)
             _, o_sig, _ = gate_forward(probe, x)
             return -float(resid @ o_sig)
 
@@ -239,6 +237,23 @@ class TestTrainers:
             assert np.array_equal(a.w_out, b.w_out)
         assert not gated.experts[0].w_hidden.flags.writeable
         assert gated.gate is not None
+
+    @pytest.mark.parametrize("variant,lam", [("ncl", 0.5), ("gated_ncl", 0.5), ("me", 0.0), ("mnce", 0.5)])
+    def test_models_are_read_only_and_share_no_memory(self, variant, lam):
+        x, y = blob_problem(seed=16)
+        cfg = self.small_cfg()
+
+        def weights(model):
+            nets = model.experts + (() if model.gate is None else (model.gate,))
+            return [w for net in nets for w in (net.w_hidden, net.w_out)]
+
+        first, second = (weights(train_variant(variant, x, y, cfg, lam)) for _ in range(2))
+        assert len(first) == 2 * cfg.n_experts + (0 if variant == "ncl" else 2)
+        for w in first:
+            assert not w.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 0.0
+            assert not any(np.shares_memory(w, other) for other in second)
 
     def test_deterministic(self):
         x, y = blob_problem(seed=6)
@@ -458,4 +473,4 @@ class TestPrediction:
         x, y = blob_problem(seed=14)
         model = train_ncl(x, y, TrainConfig(n_experts=2, hidden=2, epochs=2, seed=15), 0.0)
         with pytest.raises(ValueError, match="gate"):
-            EnsembleModel("mnce", model.experts, None, 0.0, model.config)
+            EnsembleModel("mnce", model.experts, None, model.config)

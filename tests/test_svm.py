@@ -146,7 +146,7 @@ class TestSmoTraining:
         assert model.n_support == 2
         assert model.coef == pytest.approx([-0.5, 0.5], abs=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-9)
-        assert decision_function(model, np.array([1.0])) == pytest.approx(1.0, abs=1e-9)
+        assert decision_function(model, np.array([[1.0]])) == pytest.approx(1.0, abs=1e-9)
         assert np.min(y * decision_function(model, x)) == pytest.approx(1.0, abs=1e-9)
         assert model.kkt_residual <= 1e-3
 
@@ -201,7 +201,7 @@ class TestSmoTraining:
     def test_tie_goes_negative(self):
         # f(0) = 0 exactly on this symmetric pair; the tie is class 0
         model = fit_classifier(ClassifierSpec("linear_svm"), np.array([[-1.0], [1.0]]), np.array([0, 1]), 0)
-        assert decision_function(model, np.array([0.0])) == 0.0
+        assert decision_function(model, np.array([[0.0]])) == 0.0
         assert predict_labels(model, np.array([[0.0]])).tolist() == [0]
 
     def test_input_validation(self):
