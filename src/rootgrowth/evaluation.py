@@ -1,16 +1,20 @@
 """Classifiers, folds and the sliding-window search.
 
 `window_search` owns the full pipeline: per fold it fits a PCA on the
-pooled training-fold frames only and projects every sample, and then
-evaluates each window on features assembled from that window's frames
-of the per-fold scores. Fold assignments are fixed once per (seed,
+pooled training-fold frames only, and then evaluates each window on
+features assembled from that window's frames of every sample's scores
+under the fold's PCA. Fold assignments are fixed once per (seed,
 dataset) and shared across every window so window comparisons are like
 for like.
 
-Windows are independent work units: with n_jobs > 1 and more than one
-window they are evaluated in a process pool of at most one worker per
-window, which returns results in window order like the serial loop, so
-the output is identical to the serial run byte for byte.
+The work unit is one (fold, window) pair, and units run fold by fold:
+at a fold's first unit a process drops the previous fold's scores and
+projects every sample through the fold's PCA, so it holds one fold's
+scores at a time. With n_jobs > 1 and more than one window the units
+run in a process pool of at most one worker per window, which returns
+results in unit order like the serial loop, so the output is identical
+to the serial run byte for byte, and when several fits fail the first
+in fold-major order is the one reported.
 """
 
 from __future__ import annotations
@@ -189,9 +193,10 @@ def dataset_scores(dataset: Dataset, model: pca.PcaModel) -> np.ndarray:
     return scores.reshape(dataset.n_samples, dataset.n_frames, -1)
 
 
-def _fold_scores(dataset, folds, n_components):
-    """Per fold: every sample's scores under that fold's PCA, (n, T, k),
-    with the fold's training and test indices."""
+def _fold_models(dataset, folds, n_components):
+    """Per fold: its PCA, fit on the fold's training frames, with the
+    fold's training and test indices. Every fold is fit before any window
+    runs, so a PCA error names its fold first."""
     fits = []
     n = dataset.n_samples
     for fold_idx, test_idx in enumerate(folds):
@@ -201,11 +206,7 @@ def _fold_scores(dataset, folds, n_components):
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"fold {fold_idx}: {exc}") from None
         fits.append((model, train_idx, test_idx))
-    # every fit's pooled-frame copies are freed before the first score
-    # array is allocated, so the kept scores do not sit between freed
-    # blocks: csv-pairings' peak RSS is 57.3 MB this way, 59.1 MB when
-    # each fold is projected right after its fit
-    return [(dataset_scores(dataset, model), train_idx, test_idx) for model, train_idx, test_idx in fits]
+    return fits
 
 
 _WORKER_CTX: dict = {}
@@ -215,30 +216,41 @@ def _init_worker(ctx):
     _WORKER_CTX.update(ctx)
 
 
-def _evaluate_window(w_idx: int):
+def _evaluate_unit(unit: tuple[int, int]):
+    """One (fold, window) pair: each classifier's error rate on the fold's
+    test samples, and the count of unconverged SVM fits."""
     ctx = _WORKER_CTX
+    fold_idx, w_idx = unit
+    model, train_idx, test_idx = ctx["folds"][fold_idx]
+    if ctx.get("scored_fold") != fold_idx:
+        # the previous fold's scores go before this fold's are made, so
+        # a process holds one fold's at a time; every frame is projected
+        # in one product, since BLAS picks its kernel by row count and
+        # a window's rows alone can round differently
+        ctx.pop("scores", None)
+        ctx["scores"] = dataset_scores(ctx["dataset"], model)
+        ctx["scored_fold"] = fold_idx
     window = ctx["windows"][w_idx]
     labels = ctx["labels"]
-    rates: dict[str, list[float]] = {spec.label: [] for spec in ctx["specs"]}
+    rates: dict[str, float] = {}
     unconverged = 0
     start, end = window
-    for fold_idx, (scores, train_idx, test_idx) in enumerate(ctx["fold_scores"]):
-        # each velocity and acceleration entry involves only frames inside
-        # the window, so these are bitwise the window's columns of the
-        # full-length features
-        x = features.assemble(scores[:, start : end + 1], *ctx["blocks"]).values
-        x_train, x_test = x[train_idx], x[test_idx]
-        for spec in ctx["specs"]:
-            fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
-            try:
-                model = fit_classifier(spec, x_train, labels[train_idx], fit_seed)
-                preds = predict_labels(model, x_test)
-            except (ValueError, ArithmeticError) as exc:
-                raise type(exc)(f"window {window}, fold {fold_idx}: {exc}") from None
-            rates[spec.label].append(error_rate(preds, labels[test_idx]))
-            if spec.kind in SVM_KINDS and model.kkt_residual > svm.SMO_TOL:
-                unconverged += 1
-    return {label: float(np.mean(r)) for label, r in rates.items()}, unconverged
+    # each velocity and acceleration entry involves only frames inside
+    # the window, so these are bitwise the window's columns of the
+    # full-length features
+    x = features.assemble(ctx["scores"][:, start : end + 1], *ctx["blocks"]).values
+    x_train, x_test = x[train_idx], x[test_idx]
+    for spec in ctx["specs"]:
+        fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
+        try:
+            fitted = fit_classifier(spec, x_train, labels[train_idx], fit_seed)
+            preds = predict_labels(fitted, x_test)
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"window {window}, fold {fold_idx}: {exc}") from None
+        rates[spec.label] = error_rate(preds, labels[test_idx])
+        if spec.kind in SVM_KINDS and fitted.kkt_residual > svm.SMO_TOL:
+            unconverged += 1
+    return rates, unconverged
 
 
 def window_search(
@@ -260,8 +272,9 @@ def window_search(
     fold's PCA is fit on its pooled training frames only, and each
     window's features are assembled from its frames of the fold's
     scores. Results cover all windows; the best window per classifier
-    is the error argmin with ties going to the smallest start frame. ``unconverged`` counts the SVM fits
-    whose KKT residual ended above the solver's default tolerance.
+    is the error argmin with ties going to the smallest start frame.
+    ``unconverged`` counts the SVM fits whose KKT residual ended above
+    the solver's default tolerance.
     """
     if not specs:
         raise ConfigError("no classifiers configured")
@@ -275,33 +288,40 @@ def window_search(
     labels = dataset.labels_unit()
     folds = kfold_split(dataset.n_samples, k_folds, labels, seed)
     ctx = {
+        "dataset": dataset,
         "windows": windows,
         "labels": labels,
         "specs": list(specs),
-        "fold_scores": _fold_scores(dataset, folds, n_components),
+        "folds": _fold_models(dataset, folds, n_components),
         "blocks": (include_velocity, include_acceleration, literal_sum),
         "seed": seed,
     }
+    units = [(f, w) for f in range(len(folds)) for w in range(len(windows))]
 
     workers = min(n_jobs, len(windows))
     if workers == 1:
         _init_worker(ctx)
         try:
-            raw = [_evaluate_window(i) for i in range(len(windows))]
+            raw = [_evaluate_unit(unit) for unit in units]
         finally:
             _WORKER_CTX.clear()
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
-            raw = list(pool.map(_evaluate_window, range(len(windows))))
+            raw = list(pool.map(_evaluate_unit, units))
 
-    # both the pool's map and the serial list keep window order
-    results = tuple(WindowResult(w, means) for w, (means, _) in zip(windows, raw))
+    # both the pool's map and the serial list keep unit order, so a
+    # window's rates are every len(windows)-th entry, in fold order
+    results = []
+    for w_idx, window in enumerate(windows):
+        per_fold = [rates for rates, _ in raw[w_idx :: len(windows)]]
+        means = {spec.label: float(np.mean([r[spec.label] for r in per_fold])) for spec in specs}
+        results.append(WindowResult(window, means))
     best: dict[str, tuple[tuple[int, int], float]] = {}
     for spec in specs:
         for res in results:  # window order, so ties keep the earliest start
             err = res.errors[spec.label]
             if spec.label not in best or err < best[spec.label][1]:
                 best[spec.label] = (res.window, err)
-    return SearchResult(results, best, sum(n for _, n in raw))
+    return SearchResult(tuple(results), best, sum(n for _, n in raw))

@@ -30,7 +30,11 @@ replaced:
   worked before it moved to an eigendecomposition of the scatter matrix;
   and the two PCA helpers that no command needs: `reconstruct`, through
   which gate 5 checks `fit` and `transform`, and `load_model`, which
-  reads back what `save_model` writes.
+  reads back what `save_model` writes;
+- the reference window search, which evaluates window by window with
+  every fold's scores projected up front, the way `window_search` ran
+  before its work units went fold by fold; it calls the package's fold
+  PCA, projection, assembly, classifiers and seed derivation.
 """
 
 from __future__ import annotations
@@ -42,12 +46,13 @@ import struct
 
 import numpy as np
 
+from rootgrowth import evaluation, features
 from rootgrowth.dataset import ClassLabel, Dataset, _check_header, _manifest_path, read_manifest
 from rootgrowth.ensembles import EnsembleModel, MlpNetwork, TrainConfig, gncl_target, init_mlp
 from rootgrowth.errors import DataFormatError, NumericError
 from rootgrowth.pca import _MAGIC, _VERSION, PcaModel, _fix_signs, max_components
 from rootgrowth.seeding import derive
-from rootgrowth.svm import SvmModel, gram_matrix, resolve
+from rootgrowth.svm import SMO_TOL, SvmModel, gram_matrix, resolve
 
 
 def jacobi_eigh(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
@@ -685,3 +690,75 @@ def load_model(path: str | os.PathLike) -> PcaModel:
     offset += 8 * k * d
     eigenvalues = np.frombuffer(blob, "<f8", count=k, offset=offset)
     return PcaModel(mean, components, eigenvalues)
+
+
+
+def _reference_fold_scores(dataset, folds, n_components):
+    fits = []
+    n = dataset.n_samples
+    for fold_idx, test_idx in enumerate(folds):
+        train_idx = np.setdiff1d(np.arange(n), test_idx)
+        try:
+            model = evaluation.fit_fold_pca(dataset, train_idx, n_components)
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"fold {fold_idx}: {exc}") from None
+        fits.append((model, train_idx, test_idx))
+    return [(evaluation.dataset_scores(dataset, model), train_idx, test_idx) for model, train_idx, test_idx in fits]
+
+
+def _reference_evaluate_window(ctx, w_idx):
+    window = ctx["windows"][w_idx]
+    labels = ctx["labels"]
+    rates = {spec.label: [] for spec in ctx["specs"]}
+    unconverged = 0
+    start, end = window
+    for fold_idx, (scores, train_idx, test_idx) in enumerate(ctx["fold_scores"]):
+        x = features.assemble(scores[:, start : end + 1], *ctx["blocks"]).values
+        x_train, x_test = x[train_idx], x[test_idx]
+        for spec in ctx["specs"]:
+            fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
+            try:
+                model = evaluation.fit_classifier(spec, x_train, labels[train_idx], fit_seed)
+                preds = evaluation.predict_labels(model, x_test)
+            except (ValueError, ArithmeticError) as exc:
+                raise type(exc)(f"window {window}, fold {fold_idx}: {exc}") from None
+            rates[spec.label].append(evaluation.error_rate(preds, labels[test_idx]))
+            if spec.kind in evaluation.SVM_KINDS and model.kkt_residual > SMO_TOL:
+                unconverged += 1
+    return {label: float(np.mean(r)) for label, r in rates.items()}, unconverged
+
+
+def window_search_reference(
+    dataset: Dataset,
+    specs,
+    wspec,
+    k_folds: int = 5,
+    seed: int = 0,
+    *,
+    n_components: int,
+    include_velocity: bool = True,
+    include_acceleration: bool = True,
+    literal_sum: bool = False,
+) -> evaluation.SearchResult:
+    """`window_search` window by window, serially, with every fold's scores
+    projected up front, the way it ran before its work went fold by fold."""
+    windows = features.window_slices(dataset.n_frames, wspec)
+    labels = dataset.labels_unit()
+    folds = evaluation.kfold_split(dataset.n_samples, k_folds, labels, seed)
+    ctx = {
+        "windows": windows,
+        "labels": labels,
+        "specs": list(specs),
+        "fold_scores": _reference_fold_scores(dataset, folds, n_components),
+        "blocks": (include_velocity, include_acceleration, literal_sum),
+        "seed": seed,
+    }
+    raw = [_reference_evaluate_window(ctx, i) for i in range(len(windows))]
+    results = tuple(evaluation.WindowResult(w, means) for w, (means, _) in zip(windows, raw))
+    best = {}
+    for spec in specs:
+        for res in results:  # window order, so ties keep the earliest start
+            err = res.errors[spec.label]
+            if spec.label not in best or err < best[spec.label][1]:
+                best[spec.label] = (res.window, err)
+    return evaluation.SearchResult(results, best, sum(n for _, n in raw))

@@ -1,9 +1,11 @@
 """Folds, classifiers, window search, and leakage checks."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import window_search_reference
 
 from rootgrowth import ensembles, evaluation, svm
 from rootgrowth.dataset import ClassLabel, SyntheticConfig, Dataset, generate_synthetic
@@ -24,6 +26,7 @@ from rootgrowth.evaluation import (
     window_search,
 )
 from rootgrowth.features import WindowSpec, assemble
+from rootgrowth.seeding import derive
 
 
 def separable_features(n=20, d=4, seed=0, gap=6.0):
@@ -274,6 +277,94 @@ class TestWindowSearch:
                 window_search(
                     ds, [ClassifierSpec("linear_svm")], WindowSpec(5, 6), 2, 0, n_components=2
                 )
+
+
+class TestFoldMajorOrder:
+    """Units run fold by fold; results are those of the window-major loop."""
+
+    SPECS = [
+        ClassifierSpec("linear_svm", c=100.0),
+        ClassifierSpec("gaussian_svm"),
+        ClassifierSpec("sigmoid_svm"),
+        ClassifierSpec("mnce", train=TrainConfig(n_experts=2, hidden=2, epochs=2)),
+    ]
+
+    @pytest.mark.parametrize(
+        "n_jobs,velocity,acceleration,literal_sum",
+        [
+            (1, True, True, False),
+            (2, True, True, False),
+            (1, False, False, False),
+            (1, True, False, False),
+            (1, True, True, True),
+            (2, True, False, True),
+        ],
+    )
+    def test_matches_window_major_reference(self, n_jobs, velocity, acceleration, literal_sum):
+        # three folds of 8 samples have unequal sizes; noise labels and a
+        # large C leave some SVM fits unconverged
+        ds = generate_synthetic(SyntheticConfig(
+            n_per_class=4, n_frames=12, n_coords=3, base_velocity=0.0,
+            velocity_gap=0.0, noise_sd=0.5, seed=3,
+        ))
+        args = (ds, self.SPECS, WindowSpec(5, 3), 3, 7)
+        kwargs = dict(
+            n_components=2, include_velocity=velocity,
+            include_acceleration=acceleration, literal_sum=literal_sum,
+        )
+        expected = window_search_reference(*args, **kwargs)
+        assert window_search(*args, **kwargs, n_jobs=n_jobs) == expected
+        assert [r.window for r in expected.windows] == [(0, 4), (3, 7), (6, 10)]
+
+    def test_one_projection_per_fold(self, monkeypatch):
+        # keeps the traced benchmark's pca.transform_s at one span per fold
+        calls = []
+        scores = evaluation.dataset_scores
+
+        def counted(dataset, model):
+            calls.append(model)
+            return scores(dataset, model)
+
+        monkeypatch.setattr(evaluation, "dataset_scores", counted)
+        res = window_search(toy_dataset(), [ClassifierSpec("linear_svm")], WindowSpec(5, 3), 3, 0, n_components=2)
+        assert len(res.windows) == 3
+        assert len(calls) == 3
+        assert len({id(model) for model in calls}) == 3
+
+    def test_first_failure_in_fold_major_order(self, monkeypatch):
+        # fits fail on window (0, 4) in fold 1 and window (6, 10) in fold
+        # 0; the window-major loop reported the first, fold-major order
+        # reaches the second first
+        failing = {derive(0, "window", start, "fit", fold, "linear_svm") for start, fold in ((0, 1), (6, 0))}
+        fit = evaluation.fit_classifier
+
+        def fit_or_fail(spec, x, y_unit, seed):
+            if seed in failing:
+                raise ValueError("chosen failure")
+            return fit(spec, x, y_unit, seed)
+
+        monkeypatch.setattr(evaluation, "fit_classifier", fit_or_fail)
+        ds = toy_dataset()
+        args = (ds, [ClassifierSpec("linear_svm")], WindowSpec(5, 3), 2, 0)
+        with pytest.raises(ValueError, match=r"^window \(0, 4\), fold 1: chosen failure$"):
+            window_search_reference(*args, n_components=2)
+        # the pool's workers are forked, so they run the patched fit too
+        for n_jobs in (1, 2):
+            with pytest.raises(ValueError, match=r"^window \(6, 10\), fold 0: chosen failure$"):
+                window_search(*args, n_components=2, n_jobs=n_jobs)
+
+    def test_peak_memory_holds_one_fold_of_scores(self):
+        # a paper-shape pairing: 5 folds of (20, 300, 30) scores are 2.5x
+        # the frames, one fold's half of them
+        ds = generate_synthetic(SyntheticConfig(n_per_class=10, n_frames=300, n_coords=60, seed=4))
+        tracemalloc.start()
+        try:
+            window_search(ds, [ClassifierSpec("linear_svm")], WindowSpec(40, 20), 5, 0, n_components=30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ratio = peak / ds.frames.nbytes
+        assert ratio < 3.0, ratio
 
 
 class TestSolverReports:
