@@ -250,8 +250,19 @@ def build_run_config(
     start, end = synth.pop("signal_start", None), synth.pop("signal_end", None)
     if (start is None) != (end is None):
         raise ConfigError("synthetic_signal_start and synthetic_signal_end must be set together")
+    # one field at a time, so that a failure names its key
+    for name, value in synth.items():
+        try:
+            SyntheticConfig(**{name: value})
+        except ConfigError as exc:
+            raise ConfigError(f"config key 'synthetic_{name}': {exc}") from None
     if start is not None:
         synth["signal_window"] = (start, end)
+        try:
+            SyntheticConfig(**synth)
+        except ConfigError as exc:
+            keys = "'synthetic_signal_start' and 'synthetic_signal_end'"
+            raise ConfigError(f"config keys {keys}: {exc}") from None
     if seed is not None:
         kwargs["seed"] = seed
     if jobs is not None:

@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -413,10 +413,13 @@ class SyntheticConfig:
             raise ConfigError("n_frames must be >= 3")
         if self.n_coords < 1:
             raise ConfigError("n_coords must be >= 1")
-        if self.noise_sd < 0 or self.intercept_sd < 0:
-            raise ConfigError("noise_sd and intercept_sd must be >= 0")
-        if self.ripple_gap < 0:
-            raise ConfigError("ripple_gap must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in ("noise_sd", "intercept_sd", "ripple_gap"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.signal_window is not None:
             s0, s1 = self.signal_window
             if not (0 <= s0 < s1 <= self.n_frames - 1):

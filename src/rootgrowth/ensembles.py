@@ -2,13 +2,13 @@
 
 Every expert is a one-hidden-layer MLP with sigmoid activations at both
 layers and a trailing bias weight per layer; a gate is the same network
-with one output per expert. The trainers run one stacked engine that
-draws every weight of a fit, experts and a mixture's gate, into one
-stack per layer. A pattern step updates all of them at once, bitwise as
-the update rules stated one network and one pattern at a time would
-(those single-pattern rules, with the reference trainers built on them,
-are in tests/oracles.py). A trained model's networks are read-only
-views of the stacks the engine trained:
+with one output per expert. Every fit runs one stacked engine over one
+stack per layer: the experts and a mixture's gate, or gated NCL's gate
+alone. A pattern step updates all of them at once, bitwise as the
+update rules stated one network and one pattern at a time would (those
+rules, with the reference trainers built on them, are in
+tests/oracles.py). A trained model's networks are read-only views of
+the stacks the engine trained:
 
   ncl        experts trained together, each on its squared error plus
              lambda times the correlation penalty; simple averaging.
@@ -183,6 +183,10 @@ def _augment(x):
 # squares are d * d as numpy's ** 2, and sums over experts go through
 # `_fsum`, so a stacked fit is bitwise the fit of M experts updated one
 # after another.
+#
+# Gated NCL's second stage steps a stack of the gate alone (m = 0): wh
+# (1, H, d+1) and wo (M, H+1). That step skips the expert half, whose
+# empty numpy calls would still cost several per cent of a gated fit.
 
 
 def _fsum(values):
@@ -265,63 +269,74 @@ def _gate_backprop(gx, act, osig, resid, eta):
 
 
 def _train_experts(x, y, cfg, lam, mixture):
-    """Draw and train the stacked experts, and for a mixture the gate,
-    jointly; returns the stacks wh (M[+1], H, d+1) and wo (M[+M], H+1).
-
-    All experts see the same shuffled pattern sequence. Without a gate
-    each expert steps on its NCL error. With one, the posterior h
-    weights each expert's penalized error and the gate steps toward h;
-    ``lam`` scales the correlation terms in both.
-    """
-    m, hid = cfg.n_experts, cfg.hidden
-    x_aug = _augment(x)
+    """Draw the stacked experts, and for a mixture the gate, and train
+    them jointly; returns the stacks wh (M[+1], H, d+1) and wo (M[+M], H+1)."""
+    m = cfg.n_experts
     nets = [
-        init_mlp(x.shape[1], hid, derive(cfg.seed, "expert-init", i)) for i in range(m)
+        init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "expert-init", i)) for i in range(m)
     ]
     if mixture:
-        nets.append(init_mlp(x.shape[1], hid, derive(cfg.seed, "gate-init"), n_outputs=m))
+        nets.append(init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "gate-init"), n_outputs=m))
     wh = np.stack([net.w_hidden for net in nets])
     wo = np.concatenate([net.w_out for net in nets])
+    return _train_stack(_augment(x), y.tolist(), wh, wo, m, cfg, lam, "shuffle")
+
+
+def _train_stack(x_aug, targets, wh, wo, m, cfg, lam, stream):
+    """Train a stack in place, a fresh shuffle per epoch from seed stream
+    ``stream``; returns wh and wo. The first m slices and rows are
+    experts, which all see the same pattern sequence; the rest, if any,
+    is a gate. Without a gate each expert steps on its NCL error. With
+    one, the posterior h weights each expert's penalized error and the
+    gate steps toward h; ``lam`` scales the correlation terms in both.
+    A gate alone (m = 0) steps toward the given per-pattern shares.
+    """
+    hid = cfg.hidden
+    gated = len(wo) > m
     # flat views: one hidden neuron's weights per row, output weights in row order
     wh_rows, wo_flat = wh.reshape(-1, wh.shape[2]), wo.reshape(-1)
     inc = np.empty_like(wh_rows)
+    inc_experts, inc_gate = inc[: m * hid], inc[m * hid :]
     wx = wo[:m].reshape(m, 1, hid + 1)[:, :, :hid]
     gx = wo[m:, :hid]
-    eta = cfg.eta_experts
-    targets = y.tolist()
-    rng = np.random.default_rng(derive(cfg.seed, "shuffle"))
+    eta, eta_gate = cfg.eta_experts, cfg.eta_gate
+    rng = np.random.default_rng(derive(cfg.seed, stream))
     for epoch in range(cfg.epochs):
         for idx in rng.permutation(len(targets)):
             xa, t = x_aug[idx], targets[idx]
             act = _sigmoid(np.matmul(wh, xa))
-            w = wo.tolist()
-            dots = np.matmul(wx, act[:m, :, None]).ravel().tolist()
-            if mixture:
+            w, a = wo.tolist(), act.tolist()
+            dots = np.matmul(wx, act[:m, :, None]).ravel().tolist() if m else []
+            if gated:
                 dots += (gx @ act[m]).tolist()
             sig = _sigmoids([-(s + wi[hid]) for s, wi in zip(dots, w)])
-            o = sig[:m]
-            if mixture:
-                osig = sig[m:]
+            o, osig = sig[:m], sig[m:]
+            if not gated:
+                err = _ncl_errors(t, o, lam)
+            elif m:
                 g, h, err = _mixture_signals(t, o, osig, lam)
             else:
-                err = _ncl_errors(t, o, lam)
-            a = act.tolist()
-            d_out = [(er * v) * (1.0 - v) for er, v in zip(err, o)]
-            d_hid = [
-                ((wj * d) * aj) * (1.0 - aj)
-                for d, wi, ai in zip(d_out, w, a)
-                for wj, aj in zip(wi, ai)
-            ]
-            rows = [eta * (d * aj) for d, ai in zip(d_out, a) for aj in (*ai, 1.0)]
-            if mixture:
+                top = max(osig)
+                g, h = _normalized(np.exp([v - top for v in osig]).tolist()), t
+            d_hid, rows = [], []
+            if m:
+                d_out = [(er * v) * (1.0 - v) for er, v in zip(err, o)]
+                d_hid = [
+                    ((wj * d) * aj) * (1.0 - aj)
+                    for d, wi, ai in zip(d_out, w, a)
+                    for wj, aj in zip(wi, ai)
+                ]
+                rows = [eta * (d * aj) for d, ai in zip(d_out, a) for aj in (*ai, 1.0)]
+            if gated:
                 resid = [hi - gi for hi, gi in zip(h, g)]
-                gate_hid, gate_rows = _gate_backprop(gx, a[m], osig, resid, cfg.eta_gate)
+                gate_hid, gate_rows = _gate_backprop(gx, a[m], osig, resid, eta_gate)
                 d_hid += gate_hid
                 rows += gate_rows
             np.multiply.outer(d_hid, xa, out=inc)
-            inc[: m * hid] *= eta
-            if mixture:
-                inc[m * hid :] *= cfg.eta_gate
+            if m:
+                inc_experts *= eta
+            if gated:
+                inc_gate *= eta_gate
             wh_rows += inc
             wo_flat += rows
         _ensure_finite(epoch, wh, wo)
@@ -352,26 +367,9 @@ def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) 
     x_aug = _augment(x)
     # the batched forward pass gives each row bitwise its single-row outputs
     outs = _forward(wh, wo.reshape(len(wo), 1, -1), x_aug)
-    shares = np.array([gncl_target(t, o) for o, t in zip(outs, y)])
+    shares = [gncl_target(t, o).tolist() for o, t in zip(outs, y)]
     gate = init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "gate-init"), n_outputs=cfg.n_experts)
-    # gate-only steps: the gate half of the mixture step, toward the shares
-    hid = cfg.hidden
-    gx, wo_flat = gate.w_out[:, :hid], gate.w_out.reshape(-1)
-    targets = shares.tolist()
-    rng = np.random.default_rng(derive(cfg.seed, "gate-shuffle"))
-    for epoch in range(cfg.epochs):
-        for idx in rng.permutation(len(y)):
-            xa = x_aug[idx]
-            act = _sigmoid(gate.w_hidden @ xa)
-            bias = gate.w_out[:, hid].tolist()
-            osig = _sigmoids([-(s + b) for s, b in zip((gx @ act).tolist(), bias)])
-            top = max(osig)
-            g = _normalized(np.exp([v - top for v in osig]).tolist())
-            resid = [hk - gk for hk, gk in zip(targets[idx], g)]
-            d_hid, rows = _gate_backprop(gx, act.tolist(), osig, resid, cfg.eta_gate)
-            gate.w_hidden += cfg.eta_gate * np.multiply.outer(d_hid, xa)
-            wo_flat += rows
-        _ensure_finite(epoch, gate.w_hidden, gate.w_out)
+    _train_stack(x_aug, shares, gate.w_hidden[None], gate.w_out, 0, cfg, lam, "gate-shuffle")
     return _model("gated_ncl", cfg, wh, wo, gate)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -95,6 +96,11 @@ class TestConfigParsing:
     def test_signal_keys_coupled(self):
         with pytest.raises(ConfigError, match="signal"):
             build_run_config({"synthetic_signal_start": "5"})
+
+    def test_signal_window_names_its_keys(self):
+        keys = "config keys 'synthetic_signal_start' and 'synthetic_signal_end'"
+        with pytest.raises(ConfigError, match=keys):
+            build_run_config({"synthetic_signal_start": "20", "synthetic_signal_end": "30", "synthetic_n_frames": "24"})
 
     def test_pairing_syntax(self):
         with pytest.raises(ConfigError, match="pairings"):
@@ -233,6 +239,26 @@ class TestRun:
         assert "config key 'seed'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_blas_thread_count_does_not_change_results(self, tmp_path):
+        # 6000 frames x 60 coordinates projected onto 30 components per fold:
+        # large enough that OpenBLAS splits the products between threads
+        cfg = write_config(tmp_path, (
+            "synthetic_n_per_class = 10\nsynthetic_n_frames = 300\nsynthetic_n_coords = 60\n"
+            "pca_components = 30\nwindow_length = 40\nwindow_stride = 130\n"
+            "classifiers = linear_svm, gaussian_svm\n"
+        ))
+        src = str(Path(rootgrowth.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "rootgrowth", "run", "--config", cfg, "--out", f"t{threads}"],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for name in ("results.json", "results.csv", "table.txt"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
+
     def test_run_id_ignores_jobs_but_tracks_seed(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
         a, b, c = (tmp_path / n for n in ("ra", "rb", "rc"))
@@ -346,6 +372,17 @@ class TestFailFast:
             ("eta_experts = nan", "eta_experts"),
             ("eta_gate = 0", "eta_gate"),
             ("include_velocity = false", "include_acceleration"),
+            ("synthetic_n_per_class = 0", "synthetic_n_per_class"),
+            ("synthetic_n_frames = 2", "synthetic_n_frames"),
+            ("synthetic_n_coords = 0", "synthetic_n_coords"),
+            ("synthetic_base_velocity = -inf", "synthetic_base_velocity"),
+            ("synthetic_velocity_gap = inf", "synthetic_velocity_gap"),
+            ("synthetic_acceleration_gap = nan", "synthetic_acceleration_gap"),
+            ("synthetic_noise_sd = nan", "synthetic_noise_sd"),
+            ("synthetic_noise_sd = -0.1", "synthetic_noise_sd"),
+            ("synthetic_intercept_sd = inf", "synthetic_intercept_sd"),
+            ("synthetic_ripple_gap = nan", "synthetic_ripple_gap"),
+            ("synthetic_signal_gap = nan", "synthetic_signal_gap"),
         ],
     )
     @pytest.mark.parametrize("source", ["synthetic", "csv"])

@@ -442,6 +442,16 @@ class TestDivergence:
             with pytest.raises(NumericError, match="non-finite weights after epoch 0"):
                 train_variant(variant, x, y, cfg, 0.5)
 
+    def test_gate_stage_divergence_names_the_epoch(self):
+        # only the gate's rate is huge: NCL's stage one completes, and the
+        # gate-only stage two is the one that turns non-finite
+        x, y = diverging_problem()
+        cfg = TrainConfig(n_experts=2, hidden=2, epochs=3, eta_gate=1e50, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_ncl(x, y, cfg, 0.5)
+            with pytest.raises(NumericError, match="non-finite weights after epoch 0"):
+                train_gated_ncl(x, y, cfg, 0.5)
+
     def test_vanishing_posterior_is_a_numeric_error(self):
         # a huge lambda underflows every expert's posterior weight: h is
         # 0/0 = nan as numpy divides it, and the weights turn non-finite
