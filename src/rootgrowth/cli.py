@@ -153,6 +153,10 @@ _CHECKED_BY = {
 # Config file parsing (key = value lines)
 
 
+# the SyntheticConfig fields that are checked as a pair
+_TAG_FIELDS = ("wild_tag", "mutated_tag")
+
+
 def _parse_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "yes", "on", "1"):
@@ -250,12 +254,22 @@ def build_run_config(
     start, end = synth.pop("signal_start", None), synth.pop("signal_end", None)
     if (start is None) != (end is None):
         raise ConfigError("synthetic_signal_start and synthetic_signal_end must be set together")
+    tags = {name: synth.pop(name) for name in _TAG_FIELDS if name in synth}
     # one field at a time, so that a failure names its key
     for name, value in synth.items():
         try:
             SyntheticConfig(**{name: value})
         except ConfigError as exc:
             raise ConfigError(f"config key 'synthetic_{name}': {exc}") from None
+    # the tags together, as a tag equal to the other one (set or default)
+    # is a fault of both keys; an empty tag is its own key's
+    try:
+        SyntheticConfig(**tags)
+    except ConfigError as exc:
+        empty = [name for name, value in tags.items() if not value]
+        keys = " and ".join(f"config key 'synthetic_{name}'" for name in empty[:1] or _TAG_FIELDS)
+        raise ConfigError(f"{keys}: {exc}") from None
+    synth.update(tags)
     if start is not None:
         synth["signal_window"] = (start, end)
         try:

@@ -420,6 +420,11 @@ class SyntheticConfig:
         for name in ("noise_sd", "intercept_sd", "ripple_gap"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("wild_tag", "mutated_tag"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be non-empty")
+        if self.wild_tag == self.mutated_tag:
+            raise ConfigError(f"wild_tag and mutated_tag must differ, both are {self.wild_tag!r}")
         if self.signal_window is not None:
             s0, s1 = self.signal_window
             if not (0 <= s0 < s1 <= self.n_frames - 1):

@@ -9,18 +9,18 @@ for like.
 
 The work unit is one (fold, window) pair, and units run fold by fold:
 at a fold's first unit a process drops the previous fold's scores and
-projects every sample through the fold's PCA, so it holds one fold's
-scores at a time. With n_jobs > 1 and more than one window the units
-run in a process pool of at most one worker per window, which returns
-results in unit order like the serial loop, so the output is identical
-to the serial run byte for byte, and when several fits fail the first
-in fold-major order is the one reported.
+projects each sample through the fold's PCA in its own product, so it
+holds one fold's scores at a time, and a sample's scores do not depend
+on which other samples are projected with it. With n_jobs > 1 and more
+than one window the units run in a process pool of at most one worker
+per window, which returns results in unit order like the serial loop,
+so the output is identical to the serial run byte for byte, and when
+several fits fail the first in fold-major order is the one reported.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -183,14 +183,18 @@ class SearchResult:
 
 
 def fit_fold_pca(dataset: Dataset, train_indices: np.ndarray, n_components: int) -> pca.PcaModel:
-    """Fit the projection on pooled frames of the training samples only."""
-    return pca.fit(dataset.frames[train_indices].reshape(-1, dataset.n_coords), n_components)
+    """Fit the projection on pooled frames of the training samples only;
+    the fit centers its gather of them in place."""
+    rows = dataset.frames[train_indices].reshape(-1, dataset.n_coords)
+    return pca.fit(rows, n_components, overwrite_data=True)
 
 
 def dataset_scores(dataset: Dataset, model: pca.PcaModel) -> np.ndarray:
-    """Project every sample's frames; (n_samples, T, k)."""
-    scores = pca.transform(model, dataset.frames.reshape(-1, dataset.n_coords))
-    return scores.reshape(dataset.n_samples, dataset.n_frames, -1)
+    """Project every sample's frames, one sample per product; (n_samples, T, k)."""
+    scores = np.empty((dataset.n_samples, dataset.n_frames, model.n_components))
+    for out, frames in zip(scores, dataset.frames):
+        out[...] = pca.transform(model, frames)
+    return scores
 
 
 def _fold_models(dataset, folds, n_components):
@@ -224,9 +228,7 @@ def _evaluate_unit(unit: tuple[int, int]):
     model, train_idx, test_idx = ctx["folds"][fold_idx]
     if ctx.get("scored_fold") != fold_idx:
         # the previous fold's scores go before this fold's are made, so
-        # a process holds one fold's at a time; every frame is projected
-        # in one product, since BLAS picks its kernel by row count and
-        # a window's rows alone can round differently
+        # a process holds one fold's at a time
         ctx.pop("scores", None)
         ctx["scores"] = dataset_scores(ctx["dataset"], model)
         ctx["scored_fold"] = fold_idx
@@ -306,6 +308,9 @@ def window_search(
         finally:
             _WORKER_CTX.clear()
     else:
+        # imported here, so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:

@@ -6,6 +6,12 @@ scatter's divided by n-1 (the s^2/(n-1) of an SVD of the centered data),
 clamped at 0 where rounding leaves them slightly negative. Forming the
 scatter squares the condition number, so directions whose variance is
 below about 1e-16 of the largest lose their accuracy.
+The scatter is one product over all rows, centered in place when the
+caller hands over an array it owns. Summing per-block scatters plus the
+between-block term (Chan, Golub & LeVeque, 1983) would spare a fold's
+gather of its frames, but it rounds differently, and window-search
+results follow those bits wherever an SVM fit stops short of its
+tolerance.
 Component signs follow a fixed convention so that results are
 reproducible across runs: a component is negated when its
 largest-magnitude entry is negative (ties resolved to the lowest
@@ -73,16 +79,21 @@ def max_components(n_rows: int, n_cols: int) -> int:
     return min(n_rows - 1, n_cols)
 
 
-def fit(data: np.ndarray, n_components: int) -> PcaModel:
+def fit(data: np.ndarray, n_components: int, *, overwrite_data: bool = False) -> PcaModel:
     """Fit a PCA with ``n_components`` directions on rows of ``data``.
 
     Requires 1 <= n_components <= max_components(n, d) and non-degenerate
-    data (identical rows carry no directions to extract).
+    data (identical rows carry no directions to extract). With
+    ``overwrite_data``, a float64 ``data`` is centered in place and its
+    values are lost; the model is the same either way.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"data must be 2-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    # the extremes check finiteness without a mask of the data's size
+    # (NaN propagates through both), before centering changes the data
+    lo, hi = (x.min(), x.max()) if x.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise DataFormatError("data contains non-finite values")
     n, d = x.shape
     limit = max_components(n, d)
@@ -91,11 +102,13 @@ def fit(data: np.ndarray, n_components: int) -> PcaModel:
             f"n_components must be in [1, {limit}] for data of shape {x.shape}, "
             f"got {n_components}"
         )
-    mean = x.mean(axis=0)
-    centered = x - mean
+    # an overflow here leaves a non-finite scatter, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = np.subtract(x, mean, out=x if overwrite_data else None)
+        scatter = centered.T @ centered
     if not centered.any():
         raise DataFormatError("data has zero variance (all rows identical)")
-    scatter = centered.T @ centered
     # eigh fails to converge on an overflowed scatter, and a finite
     # scatter can still have an eigenvalue that overflows
     finite = np.isfinite(scatter).all()
@@ -104,7 +117,7 @@ def fit(data: np.ndarray, n_components: int) -> PcaModel:
         finite = np.isfinite(w).all()
     if not finite:
         raise NumericError(
-            f"PCA variances overflow (data up to {np.abs(x).max():.3g} in magnitude)"
+            f"PCA variances overflow (data up to {max(hi, -lo):.3g} in magnitude)"
         )
     # eigh sorts ascending: take the top pairs largest first, and clamp
     # at 0 the slightly negative values rounding leaves on rank-deficient

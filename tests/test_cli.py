@@ -259,6 +259,25 @@ class TestRun:
         for name in ("results.json", "results.csv", "table.txt"):
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
 
+    def test_serial_run_loads_no_process_pool(self, tmp_path):
+        # the pool's modules cost memory and start-up time, and only a
+        # run with more than one job and window uses them
+        cfg = write_config(tmp_path, TINY)
+        src = str(Path(rootgrowth.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        script = (
+            "import sys\n"
+            "from rootgrowth.cli import main\n"
+            f"assert main(['run', '--config', {cfg!r}, '--out', 'r']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_run_id_ignores_jobs_but_tracks_seed(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
         a, b, c = (tmp_path / n for n in ("ra", "rb", "rc"))
@@ -383,6 +402,12 @@ class TestFailFast:
             ("synthetic_intercept_sd = inf", "synthetic_intercept_sd"),
             ("synthetic_ripple_gap = nan", "synthetic_ripple_gap"),
             ("synthetic_signal_gap = nan", "synthetic_signal_gap"),
+            # a tag equal to the other one names both keys
+            ("synthetic_wild_tag = mut_syn", "synthetic_wild_tag"),
+            ("synthetic_wild_tag = mut_syn", "synthetic_mutated_tag"),
+            ("synthetic_mutated_tag = wt_syn", "synthetic_wild_tag"),
+            ("synthetic_wild_tag =", "synthetic_wild_tag"),
+            ("synthetic_mutated_tag =", "synthetic_mutated_tag"),
         ],
     )
     @pytest.mark.parametrize("source", ["synthetic", "csv"])
@@ -420,6 +445,28 @@ class TestFailFast:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (
+                "synthetic_wild_tag = mut_syn",
+                "config key 'synthetic_wild_tag' and config key 'synthetic_mutated_tag': "
+                "wild_tag and mutated_tag must differ, both are 'mut_syn'",
+            ),
+            ("synthetic_mutated_tag =", "config key 'synthetic_mutated_tag': mutated_tag must be non-empty"),
+        ],
+    )
+    def test_synthetic_tags_checked_before_generate(self, tmp_path, monkeypatch, capsys, lines, message):
+        cfg = write_config(tmp_path, TINY + lines + "\n")
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+    def test_swapped_synthetic_tags_accepted(self):
+        cfg = build_run_config({"synthetic_wild_tag": "mut_syn", "synthetic_mutated_tag": "wt_syn"})
+        assert (cfg.synthetic.wild_tag, cfg.synthetic.mutated_tag) == ("mut_syn", "wt_syn")
 
     def test_training_frames_bound_pca(self):
         # 2 + 2 samples in 2 folds: 2 training samples of 3 frames, so at

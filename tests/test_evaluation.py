@@ -1,13 +1,15 @@
 """Folds, classifiers, window search, and leakage checks."""
 
+import concurrent.futures
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import window_search_reference
 
-from rootgrowth import ensembles, evaluation, svm
+from rootgrowth import ensembles, evaluation, pca, svm
 from rootgrowth.dataset import ClassLabel, SyntheticConfig, Dataset, generate_synthetic
 from rootgrowth.ensembles import TrainConfig
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
@@ -196,7 +198,8 @@ class TestWindowSearch:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        # window_search imports the pool class when it runs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         ds = toy_dataset(seed=1)
         # stride 6 gives windows (0, 4) and (6, 10); stride 8 only (0, 4)
         for stride, pools in ((6, [2]), (8, [])):
@@ -277,6 +280,83 @@ class TestWindowSearch:
                 window_search(
                     ds, [ClassifierSpec("linear_svm")], WindowSpec(5, 6), 2, 0, n_components=2
                 )
+
+
+class TestFoldProjection:
+    """The fold fit and the scores against their one-array forms."""
+
+    @staticmethod
+    def dataset(case):
+        if case == "csv-pairings":
+            cfg, k = SyntheticConfig(n_per_class=10, n_frames=300, n_coords=60, seed=0), 30
+        elif case == "narrow":
+            cfg, k = SyntheticConfig(n_per_class=10, n_frames=60, n_coords=5, seed=1), 3
+        elif case == "odd width":
+            cfg, k = SyntheticConfig(n_per_class=15, n_frames=60, n_coords=57, seed=2), 10
+        else:
+            rng = np.random.default_rng(int(case[-1]))
+            n, t, d = (int(v) for v in rng.integers((2, 3, 1), (9, 40, 13)))
+            cfg = SyntheticConfig(n_per_class=n, n_frames=t, n_coords=d, intercept_sd=2.0, seed=3)
+            k = min(d, n * t - 1)
+        return generate_synthetic(cfg), k
+
+    CASES = ["csv-pairings", "narrow", "odd width", "random 0", "random 1", "random 2"]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("case", CASES)
+    def test_fold_fit_is_the_gathered_fit(self, case, offset):
+        ds, k = self.dataset(case)
+        ds = replace(ds, frames=ds.frames + offset)
+        kept = ds.frames.copy()
+        train_idx = np.setdiff1d(np.arange(ds.n_samples), kfold_split(ds.n_samples, 5, ds.labels_unit(), 0)[0])
+        got = fit_fold_pca(ds, train_idx, k)
+        ref = pca.fit(ds.frames[train_idx].reshape(-1, ds.n_coords), k)
+        for name in ("mean", "components", "eigenvalues"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert np.array_equal(ds.frames, kept)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_scores_match_one_product(self, case):
+        # within TestMatchesSvdReference's score tolerance; the odd width
+        # rounds differently by the product's row count
+        ds, k = self.dataset(case)
+        model = fit_fold_pca(ds, np.arange(ds.n_samples), k)
+        got = dataset_scores(ds, model)
+        ref = pca.transform(model, ds.frames.reshape(-1, ds.n_coords)).reshape(got.shape)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_scores_of_a_sample_ignore_the_others(self, case):
+        ds, k = self.dataset(case)
+        model = fit_fold_pca(ds, np.arange(ds.n_samples), k)
+        every = dataset_scores(ds, model)
+        some = [0, ds.n_samples - 1]
+        subset = Dataset(ds.frames[some], [ds.sample_ids[i] for i in some], [ds.tags[i] for i in some], [ds.labels[i] for i in some])
+        assert np.array_equal(dataset_scores(subset, model), every[some])
+
+    @pytest.mark.parametrize("case", ["overflow", "zero variance", "too many components"])
+    def test_fold_fit_errors_keep_their_message(self, case):
+        ds = toy_dataset()
+        frames, k = ds.frames.copy(), 2
+        if case == "overflow":
+            frames[0] *= 2.0**1016
+        elif case == "zero variance":
+            frames[:] = 1.5
+        else:
+            k = 4
+        ds = replace(ds, frames=frames)
+        folds = kfold_split(ds.n_samples, 2, ds.labels_unit(), 0)
+        # the first fold to fail: the overflow is in the folds that train on sample 0
+        fold = next(f for f, test_idx in enumerate(folds) if case != "overflow" or 0 not in test_idx)
+        train_idx = np.setdiff1d(np.arange(ds.n_samples), folds[fold])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Exception) as ref:
+            pca.fit(ds.frames[train_idx].reshape(-1, ds.n_coords), k)
+        expected = f"fold {fold}: {ref.value}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(ref.value)) as info:
+                window_search(ds, [ClassifierSpec("linear_svm")], WindowSpec(5, 6), 2, 0, n_components=k)
+        assert str(info.value) == expected
 
 
 class TestFoldMajorOrder:
@@ -365,6 +445,20 @@ class TestFoldMajorOrder:
             tracemalloc.stop()
         ratio = peak / ds.frames.nbytes
         assert ratio < 3.0, ratio
+
+    def test_peak_memory_at_long_recordings(self):
+        # at 1000 frames the fold fit's gather of 16 samples' frames (0.8x)
+        # outweighs one fold's scores (0.5x); a second copy of that gather,
+        # or of all the frames, would pass 1.0x
+        ds = generate_synthetic(SyntheticConfig(n_per_class=10, n_frames=1000, n_coords=60, seed=4))
+        tracemalloc.start()
+        try:
+            window_search(ds, [ClassifierSpec("linear_svm")], WindowSpec(40, 100), 5, 0, n_components=30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ratio = peak / ds.frames.nbytes
+        assert ratio < 1.0, ratio
 
 
 class TestSolverReports:

@@ -1,6 +1,8 @@
 """Projection fitting against a hand-rolled Jacobi eigensolver and the
 SVD-based fit it replaced."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,38 @@ class TestMatchesSvdReference:
             outcomes.append((type(info.value), str(info.value)))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] in (DataFormatError, NumericError, ValueError)
+
+
+class TestOverwriteData:
+    """Centering the caller's array in place keeps the copying fit's
+    errors; `test_evaluation.TestFoldProjection` checks its bits."""
+
+    @pytest.mark.parametrize(
+        "data, k, error, message",
+        [
+            (np.array([[1.0, np.nan], [2.0, 3.0], [0.0, 1.0]]), 1, DataFormatError, "data contains non-finite values"),
+            (np.array([[1.0, -np.inf], [2.0, 3.0], [0.0, 1.0]]), 1, DataFormatError, "data contains non-finite values"),
+            (np.full((6, 3), 2.5), 1, DataFormatError, "data has zero variance (all rows identical)"),
+            (np.ones((5, 3)), 4, ValueError, "n_components must be in [1, 3] for data of shape (5, 3), got 4"),
+            (np.zeros((0, 3)), 1, ValueError, "n_components must be in [1, -1] for data of shape (0, 3), got 1"),
+            (
+                np.array([[2.0**510] * 60, [-(2.0**510)] * 60]), 1, NumericError,
+                "PCA variances overflow (data up to 3.35e+153 in magnitude)",
+            ),
+            (
+                np.vstack([np.full((5, 3), -(2.0**1016)), np.ones((15, 3))]), 2, NumericError,
+                "PCA variances overflow (data up to 7.02e+305 in magnitude)",
+            ),
+        ],
+    )
+    def test_same_errors_and_no_warnings(self, data, k, error, message):
+        # the message names the data's largest magnitude, not the centered one's
+        for overwrite in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error) as info:
+                    fit(data.copy(), k, overwrite_data=overwrite)
+            assert str(info.value) == message
 
 
 class TestReconstruction:
