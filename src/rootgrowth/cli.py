@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import evaluation, features, pca, svm
-from .dataset import Dataset, SyntheticConfig, generate_synthetic, load_csv, split_by_pairing, write_csv
+from .dataset import LABELS, Dataset, SyntheticConfig, generate_synthetic, load_csv, split_by_pairing, write_csv
 from .ensembles import TrainConfig
 from .errors import ConfigError, DataFormatError
 from .evaluation import TABLE_ORDER, ClassifierSpec, format_error_rate, window_search
@@ -396,7 +396,7 @@ def run_protocol(cfg: RunConfig) -> dict:
         pair_ds = _stage("pairing", split_by_pairing, ds, wild_tag, mutated_tag)
         _stage(
             f"pairing {wild_tag}:{mutated_tag}", check_runnable, cfg,
-            pair_ds.n_frames, pair_ds.n_coords, np.bincount(pair_ds.labels_unit()),
+            pair_ds.n_frames, pair_ds.n_coords, np.bincount(pair_ds.labels),
         )
         pair_sets.append(pair_ds)
     del ds  # each pairing holds a copy of its rows, so release the full frames
@@ -645,7 +645,7 @@ def cmd_features_export(args) -> int:
         fm,
         out,
         ds.sample_ids,
-        [label.value for label in ds.labels],
+        [LABELS[c] for c in ds.labels],
     )
     print(f"wrote {out}: {fm.n_samples} rows x {fm.layout.width} feature columns")
     return 0

@@ -1,15 +1,14 @@
 """Datasets, CSV I/O and the synthetic generator.
 
 A dataset holds the frame coordinates of n tracked objects as one
-(n, T, d) array, with each object's id, group tag and label alongside;
-both classes are present. Files use one CSV row per frame and a small
-key=value manifest next to the CSV.
+(n, T, d) array, with each object's id, group tag and 0/1 label
+alongside; both classes are present. Files use one CSV row per frame
+and a small key=value manifest next to the CSV.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import itertools
 import math
 import os
@@ -22,33 +21,14 @@ from .errors import ConfigError, DataFormatError
 from .seeding import rng_for
 
 META_COLUMNS = ("sample_id", "group_tag", "label", "frame_index")
-
-
-class ClassLabel(enum.Enum):
-    """Binary class; ``unit`` is its numeric encoding (0 wild / 1 mutated).
-
-    Files store only the text tokens.
-    """
-
-    WILD = "wild"
-    MUTATED = "mutated"
-
-    @property
-    def unit(self) -> int:
-        return 0 if self is ClassLabel.WILD else 1
-
-    @classmethod
-    def from_token(cls, token: str) -> "ClassLabel":
-        try:
-            return cls(token)
-        except ValueError:
-            raise DataFormatError(f"unknown label token {token!r}") from None
+LABELS = ("wild", "mutated")  # file token of label 0 and label 1
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Immutable (n, T, d) float64 frames with each sample's id, group tag
-    and label, T >= 3 and both classes present.
+    and label (0 wild, 1 mutated; a read-only int64 array), T >= 3 and
+    both classes present.
 
     ``pairing`` records which (wild_tag, mutated_tag) pair the dataset
     represents, when known.
@@ -57,7 +37,7 @@ class Dataset:
     frames: np.ndarray
     sample_ids: tuple[str, ...]
     tags: tuple[str, ...]
-    labels: tuple[ClassLabel, ...]
+    labels: np.ndarray
     pairing: tuple[str, str] | None = None
 
     def __post_init__(self):
@@ -69,17 +49,25 @@ class Dataset:
             raise DataFormatError("dataset has no samples")
         if t < 3:
             raise DataFormatError(f"need at least 3 frames per sample, got {t}")
-        for name in ("sample_ids", "tags", "labels"):
+        for name in ("sample_ids", "tags"):
             values = tuple(getattr(self, name))
             if len(values) != n:
                 raise DataFormatError(f"{name}: {len(values)} entries for {n} samples")
             object.__setattr__(self, name, values)
+        labels = np.asarray(self.labels)
+        if labels.shape != (n,):
+            raise DataFormatError(f"labels: shape {labels.shape} for {n} samples")
+        if not np.isin(labels, (0, 1)).all():
+            raise DataFormatError("labels must be 0 (wild) or 1 (mutated)")
         if not np.isfinite(frames).all():
             raise DataFormatError("frames contain non-finite values")
-        if len(set(self.labels)) != 2:
-            raise DataFormatError(f"dataset contains a single class ({self.labels[0].value})")
+        labels = labels.astype(np.int64)
+        if labels.min() == labels.max():
+            raise DataFormatError(f"dataset contains a single class ({LABELS[labels[0]]})")
         frames.flags.writeable = False
+        labels.flags.writeable = False
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_samples(self) -> int:
@@ -93,9 +81,6 @@ class Dataset:
     def n_coords(self) -> int:
         return self.frames.shape[2]
 
-    def labels_unit(self) -> np.ndarray:
-        return np.array([label.unit for label in self.labels], dtype=np.int64)
-
     def group_tags(self) -> list[str]:
         return list(self.tags)
 
@@ -104,13 +89,14 @@ def split_by_pairing(dataset: Dataset, wild_tag: str, mutated_tag: str) -> Datas
     """Select the samples of the two groups and relabel them by tag.
 
     Group tags are authoritative for pairings: whatever labels the
-    samples carried, members of ``wild_tag`` come out WILD and members
-    of ``mutated_tag`` come out MUTATED. The frames are a copy, so the
-    full dataset can be released once its pairings are split.
+    samples carried, members of ``wild_tag`` come out 0 (wild) and
+    members of ``mutated_tag`` come out 1 (mutated). The frames are a
+    copy, so the full dataset can be released once its pairings are
+    split.
     """
     if wild_tag == mutated_tag:
         raise ConfigError(f"pairing needs two distinct tags, got {wild_tag!r} twice")
-    role = {wild_tag: ClassLabel.WILD, mutated_tag: ClassLabel.MUTATED}
+    role = {wild_tag: 0, mutated_tag: 1}
     picked = [i for i, tag in enumerate(dataset.tags) if tag in role]
     tags = [dataset.tags[i] for i in picked]
     for tag in (wild_tag, mutated_tag):
@@ -141,7 +127,7 @@ def write_csv(dataset: Dataset, path: str | os.PathLike) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in sorted(range(dataset.n_samples), key=dataset.sample_ids.__getitem__):
-            meta = [dataset.sample_ids[i], dataset.tags[i], dataset.labels[i].value]
+            meta = [dataset.sample_ids[i], dataset.tags[i], LABELS[dataset.labels[i]]]
             for t, values in enumerate(dataset.frames[i]):
                 writer.writerow(meta + [str(t)] + [repr(float(v)) for v in values])
     write_manifest(_manifest_path(path), dataset)
@@ -177,6 +163,10 @@ def load_csv(path: str | os.PathLike) -> Dataset:
         meta = read_manifest(manifest)
         if "wild_tag" in meta and "mutated_tag" in meta:
             pairing = (meta["wild_tag"], meta["mutated_tag"])
+            if not all(pairing) or pairing[0] == pairing[1]:
+                raise DataFormatError(
+                    f"{manifest}: wild_tag and mutated_tag must be two distinct non-empty tags, got {pairing}"
+                )
     d = block.shape[1]
     for sid, count in zip(ids, counts):
         if count != counts[0]:
@@ -187,7 +177,7 @@ def load_csv(path: str | os.PathLike) -> Dataset:
     return Dataset(block.reshape(len(ids), counts[0], d), ids, tags, labels, pairing=pairing)
 
 
-def _load_block(path, parse) -> tuple[np.ndarray, list[tuple[str, str, ClassLabel, int]]] | None:
+def _load_block(path, parse) -> tuple[np.ndarray, list[tuple[str, str, int, int]]] | None:
     """Scan the file once, with ``parse`` turning coordinate text into rows.
 
     Returns the (rows, d) block and, per sample, its id, tag, label and
@@ -234,7 +224,7 @@ class _Scan:
         self.path = path
         self.width = width
         self.rows = 0
-        self.starts: list[tuple[str, str, ClassLabel, int]] = []
+        self.starts: list[tuple[str, str, int, int]] = []
         self.error: DataFormatError | None = None
 
     def coordinates(self, lines):
@@ -272,8 +262,10 @@ class _Scan:
                     raise DataFormatError(
                         f"{path}:{lineno}: rows for sample {sid!r} are not contiguous"
                     )
+                if token not in LABELS:
+                    raise DataFormatError(f"unknown label token {token!r}")
                 seen.add(sid)
-                self.starts.append((sid, tag, ClassLabel.from_token(token), self.rows))
+                self.starts.append((sid, tag, LABELS.index(token), self.rows))
                 cur_id, cur_tag, cur_token, count = sid, tag, token, 0
             elif tag != cur_tag or token != cur_token:
                 raise DataFormatError(
@@ -434,9 +426,8 @@ class SyntheticConfig:
                 )
 
 
-def class_mean_trajectory(cfg: SyntheticConfig, label: ClassLabel) -> np.ndarray:
-    """Noise-free (T, d) mean trajectory for one class."""
-    c = label.unit
+def class_mean_trajectory(cfg: SyntheticConfig, c: int) -> np.ndarray:
+    """Noise-free (T, d) mean trajectory for class c (0 wild, 1 mutated)."""
     t = np.arange(cfg.n_frames, dtype=np.float64)
     q = (cfg.base_velocity + c * cfg.velocity_gap) * t
     q = q + 0.5 * c * cfg.acceleration_gap * t * t
@@ -463,14 +454,13 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     n = cfg.n_per_class
     frames = np.empty((2 * n, cfg.n_frames, cfg.n_coords))
     ids, tags, labels = [], [], []
-    groups = ((ClassLabel.WILD, cfg.wild_tag), (ClassLabel.MUTATED, cfg.mutated_tag))
-    for c, (label, tag) in enumerate(groups):
-        mean = class_mean_trajectory(cfg, label)
+    for c, tag in enumerate((cfg.wild_tag, cfg.mutated_tag)):
+        mean = class_mean_trajectory(cfg, c)
         for i in range(n):
             intercept = rng.standard_normal(cfg.n_coords) * cfg.intercept_sd
             noise = rng.standard_normal((cfg.n_frames, cfg.n_coords)) * cfg.noise_sd
             frames[c * n + i] = mean + intercept[None, :] + noise
             ids.append(f"{tag}_{i:03d}")
             tags.append(tag)
-            labels.append(label)
+            labels.append(c)
     return Dataset(frames, ids, tags, labels, pairing=(cfg.wild_tag, cfg.mutated_tag))

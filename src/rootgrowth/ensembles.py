@@ -373,9 +373,7 @@ def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) 
     return _model("gated_ncl", cfg, wh, wo, gate)
 
 
-def train_mnce(
-    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float, variant: str = "mnce"
-) -> EnsembleModel:
+def train_mnce(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> EnsembleModel:
     """Mixture of negatively correlated experts, trained jointly.
 
     Per pattern: expert outputs and gate weights give the posterior h;
@@ -384,7 +382,7 @@ def train_mnce(
     in both the posterior and the expert errors.
     """
     x, y = _check_training_inputs(x, y, lam)
-    return _model(variant, cfg, *_train_experts(x, y, cfg, lam, mixture=True))
+    return _model("mnce", cfg, *_train_experts(x, y, cfg, lam, mixture=True))
 
 
 def train_me(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> EnsembleModel:
@@ -393,7 +391,8 @@ def train_me(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> EnsembleModel:
     Shares the mixture code path with lam pinned to 0.0, so the two
     coincide exactly (not just approximately) step for step.
     """
-    return train_mnce(x, y, cfg, 0.0, variant="me")
+    x, y = _check_training_inputs(x, y, 0.0)
+    return _model("me", cfg, *_train_experts(x, y, cfg, 0.0, mixture=True))
 
 
 TRAINERS: dict[str, Callable[..., EnsembleModel]] = {

@@ -32,7 +32,6 @@ from .features import WindowSpec
 from .seeding import derive
 
 SVM_KINDS = ("linear_svm", "gaussian_svm", "sigmoid_svm")
-ENSEMBLE_KINDS = ("ncl", "me", "gated_ncl", "mnce")
 # in the column order of reports, minimum-error kernel machines first
 KIND_LABELS = {
     "sigmoid_svm": "Sigmoid-SVM",
@@ -63,7 +62,7 @@ class ClassifierSpec:
     train: ensembles.TrainConfig = field(default_factory=ensembles.TrainConfig)
 
     def __post_init__(self):
-        if self.kind not in SVM_KINDS + ENSEMBLE_KINDS:
+        if self.kind not in KIND_LABELS:
             raise ConfigError(f"unknown classifier kind {self.kind!r}")
         # every field is checked whatever the kind reads, so a value that
         # only another kind would use is caught too
@@ -91,9 +90,9 @@ def fit_classifier(
     y_unit = np.asarray(y_unit, dtype=np.int64).ravel()
     if spec.kind in SVM_KINDS:
         kernel = {
-            "linear_svm": svm.KernelSpec.linear(),
-            "gaussian_svm": svm.KernelSpec.gaussian(spec.sigma),
-            "sigmoid_svm": svm.KernelSpec.sigmoid(spec.a, spec.b),
+            "linear_svm": svm.KernelSpec("linear"),
+            "gaussian_svm": svm.KernelSpec("gaussian", sigma=spec.sigma),
+            "sigmoid_svm": svm.KernelSpec("sigmoid", a=spec.a, b=spec.b),
         }[spec.kind]
         return svm.train_smo(x, 2 * y_unit - 1, kernel, c=spec.c)
     cfg = replace(spec.train, seed=seed)
@@ -287,7 +286,7 @@ def window_search(
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
 
     windows = features.window_slices(dataset.n_frames, wspec)
-    labels = dataset.labels_unit()
+    labels = dataset.labels
     folds = kfold_split(dataset.n_samples, k_folds, labels, seed)
     ctx = {
         "dataset": dataset,

@@ -46,18 +46,6 @@ class KernelSpec:
         if self.sigma is not None and not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
 
-    @classmethod
-    def linear(cls) -> "KernelSpec":
-        return cls("linear")
-
-    @classmethod
-    def gaussian(cls, sigma: float | None = None) -> "KernelSpec":
-        return cls("gaussian", sigma=sigma)
-
-    @classmethod
-    def sigmoid(cls, a: float | None = None, b: float = 0.0) -> "KernelSpec":
-        return cls("sigmoid", a=a, b=b)
-
 
 def default_sigmoid_a(n_coords: int) -> float:
     """Default sigmoid slope: 1/d for d input features."""

@@ -47,7 +47,7 @@ import struct
 import numpy as np
 
 from rootgrowth import evaluation, features
-from rootgrowth.dataset import ClassLabel, Dataset, _check_header, _manifest_path, read_manifest
+from rootgrowth.dataset import LABELS, Dataset, _check_header, _manifest_path, read_manifest
 from rootgrowth.ensembles import EnsembleModel, MlpNetwork, TrainConfig, gncl_target, init_mlp
 from rootgrowth.errors import DataFormatError, NumericError
 from rootgrowth.pca import _MAGIC, _VERSION, PcaModel, _fix_signs, max_components
@@ -561,10 +561,10 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
             raise DataFormatError(f"{path}: empty file") from None
         _check_header(path, header)
 
-        samples: list[tuple[str, str, ClassLabel, np.ndarray]] = []
+        samples: list[tuple[str, str, int, np.ndarray]] = []
         cur_id: str | None = None
         cur_tag = ""
-        cur_label = ClassLabel.WILD
+        cur_label = 0
         cur_rows: list[list[float]] = []
         seen_ids: set[str] = set()
 
@@ -589,8 +589,10 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
                         f"{path}:{lineno}: rows for sample {sid!r} are not contiguous"
                     )
                 seen_ids.add(sid)
-                cur_id, cur_tag, cur_label, cur_rows = sid, tag, ClassLabel.from_token(token), []
-            elif tag != cur_tag or token != cur_label.value:
+                if token not in LABELS:
+                    raise DataFormatError(f"unknown label token {token!r}")
+                cur_id, cur_tag, cur_label, cur_rows = sid, tag, LABELS.index(token), []
+            elif tag != cur_tag or token != LABELS[cur_label]:
                 raise DataFormatError(
                     f"{path}:{lineno}: sample {sid!r} changes group_tag or label mid-file"
                 )
@@ -743,7 +745,7 @@ def window_search_reference(
     """`window_search` window by window, serially, with every fold's scores
     projected up front, the way it ran before its work went fold by fold."""
     windows = features.window_slices(dataset.n_frames, wspec)
-    labels = dataset.labels_unit()
+    labels = dataset.labels
     folds = evaluation.kfold_split(dataset.n_samples, k_folds, labels, seed)
     ctx = {
         "windows": windows,

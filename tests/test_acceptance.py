@@ -337,7 +337,7 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys):
         # nearest-centroid baseline between 10% and 20% error on one
         # 40-frame window under the fold-wise projection protocol
         ds = _slice_dataset(generate_synthetic(SyntheticConfig()), 130, 169)
-        labels = ds.labels_unit()
+        labels = ds.labels
         folds = kfold_split(ds.n_samples, 5, labels, 0)
         fold_errors = []
         for test_idx in folds:

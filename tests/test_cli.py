@@ -322,6 +322,19 @@ class TestRun:
         assert main(["run", "--config", run_cfg, "--out", str(tmp_path / "r")]) == 1
         assert "pairings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tags", [("wt_syn", "wt_syn"), ("", "mut_syn")], ids=["equal", "empty"])
+    def test_manifest_pairing_is_data_error(self, tmp_path, capsys, tags):
+        data = tmp_path / "d.csv"
+        main(["generate", "--config", write_config(tmp_path, TINY), "--out", str(data)])
+        manifest = tmp_path / "d.manifest"
+        manifest.write_text(f"wild_tag={tags[0]}\nmutated_tag={tags[1]}\n")
+        run_cfg = write_config(tmp_path, f"dataset = {data}\nfolds = 2\npca_components = 2\nwindow_length = 8\nclassifiers = linear_svm\n", name="r.cfg")
+        assert main(["run", "--config", run_cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: load-dataset: {manifest}: wild_tag and mutated_tag must be two distinct non-empty tags, got {tags}"
+        )
+
 
 def refuse(*args, **kwargs):
     raise AssertionError("compute started before the config was checked")
@@ -564,6 +577,20 @@ class TestPcaFit:
         assert main(["pca-fit", str(data), "--components", "2", "--out", str(out)]) == 0
         assert "2 components" in capsys.readouterr().out
         assert out.exists()
+
+    def test_components_clamped_to_data_rank(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"  # 3 coordinates
+        main(["generate", "--config", write_config(tmp_path, TINY), "--out", str(data)])
+        capsys.readouterr()
+        features = tmp_path / "f.csv"
+        assert main(["features-export", str(data), "--out", str(features)]) == 0  # pca_components = 30
+        assert "note: clamping components 30 -> 3 for data of shape (240, 3)" in capsys.readouterr().out
+        header = features.read_text().splitlines()[0].split(",")
+        assert header[:5] == ["sample_id", "label", "f0_pc0", "f0_pc1", "f0_pc2"]
+        assert {name.split("_")[1] for name in header[2:]} == {"pc0", "pc1", "pc2"}
+        assert main(["pca-fit", str(data), "--components", "9", "--out", str(tmp_path / "m.pca")]) == 0
+        out = capsys.readouterr().out
+        assert "note: clamping components 9 -> 3" in out and "3 components over 240 frames" in out
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_components_below_one_is_usage_error(self, tmp_path, capsys, value):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rootgrowth.dataset import (
-    ClassLabel,
+    LABELS,
     Dataset,
     SyntheticConfig,
     class_mean_trajectory,
@@ -21,7 +21,7 @@ from rootgrowth.errors import ConfigError, DataFormatError
 from oracles import load_csv_reference
 
 
-def make_dataset(t=5, d=2, tags=("wt", "mut"), labels=(ClassLabel.WILD, ClassLabel.MUTATED)):
+def make_dataset(t=5, d=2, tags=("wt", "mut"), labels=(0, 1)):
     """Sample i has id ``s<i>`` and every coordinate equal to i."""
     n = len(tags)
     frames = np.arange(n, dtype=np.float64)[:, None, None] * np.ones((n, t, d))
@@ -29,16 +29,17 @@ def make_dataset(t=5, d=2, tags=("wt", "mut"), labels=(ClassLabel.WILD, ClassLab
 
 
 class TestLabels:
-    def test_encodings(self):
-        assert ClassLabel.WILD.unit == 0 and ClassLabel.MUTATED.unit == 1
+    def test_read_only_int64_array(self):
+        ds = make_dataset(labels=[True, False])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+        assert LABELS == ("wild", "mutated")
+        with pytest.raises(ValueError):
+            ds.labels[0] = 0
 
-    def test_round_trips(self):
-        for lab in ClassLabel:
-            assert ClassLabel.from_token(lab.value) is lab
-
-    def test_unknown_token(self):
-        with pytest.raises(DataFormatError, match="unknown label"):
-            ClassLabel.from_token("wibble")
+    @pytest.mark.parametrize("labels", [(0, 2), (-1, 1), (0.5, 1), ("wild", "mutated")])
+    def test_outside_zero_one_rejected(self, labels):
+        with pytest.raises(DataFormatError, match="labels must be 0"):
+            make_dataset(labels=labels)
 
 
 class TestSample:
@@ -55,31 +56,33 @@ class TestSample:
         frames = np.zeros((2, 4, 2))
         frames[1, 1, 0] = np.nan
         with pytest.raises(DataFormatError, match="non-finite"):
-            Dataset(frames, ["a", "b"], ["g", "g"], [ClassLabel.WILD, ClassLabel.MUTATED])
+            Dataset(frames, ["a", "b"], ["g", "g"], [0, 1])
 
 
 class TestDataset:
     def test_shape_mismatch(self):
         # one id, tag or label per sample
         with pytest.raises(DataFormatError, match="sample_ids: 3 entries for 2 samples"):
-            Dataset(np.zeros((2, 5, 2)), ["a", "b", "c"], ["g", "g"], [ClassLabel.WILD, ClassLabel.MUTATED])
+            Dataset(np.zeros((2, 5, 2)), ["a", "b", "c"], ["g", "g"], [0, 1])
+        with pytest.raises(DataFormatError, match=r"labels: shape \(3,\) for 2 samples"):
+            Dataset(np.zeros((2, 5, 2)), ["a", "b"], ["g", "g"], [0, 1, 0])
         with pytest.raises(DataFormatError, match=r"3-D \(n, T, d\)"):
-            Dataset(np.zeros((5, 2)), ["a"], ["g"], [ClassLabel.WILD])
+            Dataset(np.zeros((5, 2)), ["a"], ["g"], [0])
 
     def test_single_class_rejected(self):
         with pytest.raises(DataFormatError, match="single class"):
-            make_dataset(labels=(ClassLabel.WILD, ClassLabel.WILD))
+            make_dataset(labels=(0, 0))
 
     def test_label_vectors(self):
         ds = make_dataset()
-        assert ds.labels_unit().tolist() == [0, 1]
+        assert ds.labels.tolist() == [0, 1]
 
 
 class TestPairingSplit:
     def make_multi(self):
         return make_dataset(
             tags=("wtL2", "wtL2", "331L2", "332L2"),
-            labels=(ClassLabel.WILD, ClassLabel.WILD, ClassLabel.MUTATED, ClassLabel.MUTATED),
+            labels=(0, 0, 1, 1),
         )
 
     def test_selects_and_relabels(self):
@@ -94,8 +97,8 @@ class TestPairingSplit:
         # swap roles: the mutated group plays wild type in this pairing
         sub = split_by_pairing(self.make_multi(), "331L2", "wtL2")
         by_id = dict(zip(sub.sample_ids, sub.labels))
-        assert by_id["s2"] is ClassLabel.WILD
-        assert by_id["s0"] is ClassLabel.MUTATED
+        assert by_id["s2"] == 0
+        assert by_id["s0"] == 1
 
     def test_missing_tag(self):
         with pytest.raises(DataFormatError, match="nope"):
@@ -115,7 +118,7 @@ class TestCsvRoundTrip:
         order = np.argsort(ds.sample_ids, kind="stable")  # files are id-sorted
         assert back.sample_ids == tuple(ds.sample_ids[i] for i in order)
         assert back.tags == tuple(ds.tags[i] for i in order)
-        assert back.labels == tuple(ds.labels[i] for i in order)
+        assert back.labels.tolist() == ds.labels[order].tolist()
         assert np.array_equal(back.frames, ds.frames[order])
         assert back.pairing == ds.pairing
 
@@ -271,7 +274,7 @@ def load_outcome(load, path):
         ds = load(path)
     except Exception as exc:  # the reference may raise csv's own errors
         return ("error", type(exc).__name__, str(exc))
-    return ("ok", ds.pairing, ds.sample_ids, ds.tags, ds.labels, ds.frames.shape, ds.frames.tobytes())
+    return ("ok", ds.pairing, ds.sample_ids, ds.tags, ds.labels.tolist(), ds.frames.shape, ds.frames.tobytes())
 
 
 class TestLoaderMatchesReference:
@@ -339,8 +342,8 @@ class TestSynthetic:
         cfg = SyntheticConfig(
             n_frames=5, base_velocity=2.0, velocity_gap=1.0, acceleration_gap=0.5, noise_sd=0.0
         )
-        wild = class_mean_trajectory(cfg, ClassLabel.WILD)
-        mut = class_mean_trajectory(cfg, ClassLabel.MUTATED)
+        wild = class_mean_trajectory(cfg, 0)
+        mut = class_mean_trajectory(cfg, 1)
         t = np.arange(5.0)
         assert np.allclose(wild[:, 0], 2.0 * t)
         assert np.allclose(mut[:, 0], 3.0 * t + 0.25 * t * t)
@@ -348,7 +351,7 @@ class TestSynthetic:
     def test_noiseless_matches_mean(self):
         cfg = SyntheticConfig(n_per_class=2, n_frames=8, n_coords=2, noise_sd=0.0)
         ds = generate_synthetic(cfg)
-        wild = class_mean_trajectory(cfg, ClassLabel.WILD)
+        wild = class_mean_trajectory(cfg, 0)
         assert np.array_equal(ds.frames[0], wild)
 
     def test_signal_window_confined(self):
@@ -357,8 +360,8 @@ class TestSynthetic:
             velocity_gap=0.0, acceleration_gap=0.0,
             signal_window=(5, 9), signal_gap=1.0,
         )
-        wild = class_mean_trajectory(cfg, ClassLabel.WILD)
-        mut = class_mean_trajectory(cfg, ClassLabel.MUTATED)
+        wild = class_mean_trajectory(cfg, 0)
+        mut = class_mean_trajectory(cfg, 1)
         diff = mut - wild
         assert np.all(diff[:, 1] == 0.0)  # bump lives on coordinate 0 only
         assert np.all(diff[:5, 0] == 0.0) and np.all(diff[10:, 0] == 0.0)
@@ -370,8 +373,8 @@ class TestSynthetic:
             base_velocity=0.0, velocity_gap=0.0, acceleration_gap=0.0,
             ripple_gap=0.4,
         )
-        wild = class_mean_trajectory(cfg, ClassLabel.WILD)
-        mut = class_mean_trajectory(cfg, ClassLabel.MUTATED)
+        wild = class_mean_trajectory(cfg, 0)
+        mut = class_mean_trajectory(cfg, 1)
         assert np.all(wild == 0.0)
         expected = np.where(np.arange(8) % 2 == 0, 0.2, -0.2)
         assert np.array_equal(mut[:, 0], expected)
@@ -387,7 +390,7 @@ class TestSynthetic:
     def test_intercept_offsets_constant_per_sample(self):
         cfg = SyntheticConfig(n_per_class=2, n_frames=6, n_coords=2, noise_sd=0.0, intercept_sd=1.0)
         ds = generate_synthetic(cfg)
-        mean = class_mean_trajectory(cfg, ClassLabel.WILD)
+        mean = class_mean_trajectory(cfg, 0)
         offset = ds.frames[0] - mean
         assert np.allclose(offset, offset[0][None, :])
         assert not np.allclose(offset, 0.0)

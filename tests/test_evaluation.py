@@ -10,11 +10,10 @@ import pytest
 from oracles import window_search_reference
 
 from rootgrowth import ensembles, evaluation, pca, svm
-from rootgrowth.dataset import ClassLabel, SyntheticConfig, Dataset, generate_synthetic
+from rootgrowth.dataset import LABELS, SyntheticConfig, Dataset, generate_synthetic
 from rootgrowth.ensembles import TrainConfig
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
 from rootgrowth.evaluation import (
-    ENSEMBLE_KINDS,
     KIND_LABELS,
     TABLE_ORDER,
     ClassifierSpec,
@@ -132,8 +131,8 @@ class TestFitClassifier:
 
 def four_and_four(frames):
     """Samples s0..s7 from a list of eight (T, d) arrays: four wild, then four mutated."""
-    labels = [ClassLabel.WILD] * 4 + [ClassLabel.MUTATED] * 4
-    return Dataset(np.stack(frames), [f"s{i}" for i in range(8)], [label.value for label in labels], labels)
+    labels = [0] * 4 + [1] * 4
+    return Dataset(np.stack(frames), [f"s{i}" for i in range(8)], [LABELS[c] for c in labels], labels)
 
 
 def toy_dataset(signal=False, n_per_class=4, t=12, seed=0):
@@ -233,7 +232,7 @@ class TestWindowSearch:
     def test_one_trainer_call_per_ensemble_fit(self, monkeypatch):
         # the traced benchmark counts one ensembles.train span per fit,
         # wrapped around these same entry points
-        calls = {kind: 0 for kind in ENSEMBLE_KINDS}
+        calls = {kind: 0 for kind in ensembles.VARIANTS}
 
         def counted(kind, fn):
             def wrapper(*args, **kwargs):
@@ -246,10 +245,10 @@ class TestWindowSearch:
             monkeypatch.setitem(ensembles.TRAINERS, kind, counted(kind, fn))
         monkeypatch.setattr(ensembles, "train_me", counted("me", ensembles.train_me))
         train = TrainConfig(n_experts=2, hidden=2, epochs=1)
-        specs = [ClassifierSpec(kind, train=train) for kind in ENSEMBLE_KINDS]
+        specs = [ClassifierSpec(kind, train=train) for kind in ensembles.VARIANTS]
         res = window_search(toy_dataset(), specs, WindowSpec(5, 3), 2, 0, n_components=2)
         assert len(res.windows) == 3
-        assert calls == {kind: 3 * 2 for kind in ENSEMBLE_KINDS}
+        assert calls == {kind: 3 * 2 for kind in ensembles.VARIANTS}
 
     def test_diverging_fit_names_window_and_fold(self):
         # samples near 1e135 whose frames sum to zero leave the other
@@ -273,7 +272,7 @@ class TestWindowSearch:
         frames = ds.frames.copy()
         frames[0] *= 2.0**1016
         ds = replace(ds, frames=frames)
-        folds = kfold_split(ds.n_samples, 2, ds.labels_unit(), 0)
+        folds = kfold_split(ds.n_samples, 2, ds.labels, 0)
         fold = next(k for k, test_idx in enumerate(folds) if 0 not in test_idx)
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match=rf"^fold {fold}: PCA variances overflow"):
@@ -308,7 +307,7 @@ class TestFoldProjection:
         ds, k = self.dataset(case)
         ds = replace(ds, frames=ds.frames + offset)
         kept = ds.frames.copy()
-        train_idx = np.setdiff1d(np.arange(ds.n_samples), kfold_split(ds.n_samples, 5, ds.labels_unit(), 0)[0])
+        train_idx = np.setdiff1d(np.arange(ds.n_samples), kfold_split(ds.n_samples, 5, ds.labels, 0)[0])
         got = fit_fold_pca(ds, train_idx, k)
         ref = pca.fit(ds.frames[train_idx].reshape(-1, ds.n_coords), k)
         for name in ("mean", "components", "eigenvalues"):
@@ -345,7 +344,7 @@ class TestFoldProjection:
         else:
             k = 4
         ds = replace(ds, frames=frames)
-        folds = kfold_split(ds.n_samples, 2, ds.labels_unit(), 0)
+        folds = kfold_split(ds.n_samples, 2, ds.labels, 0)
         # the first fold to fail: the overflow is in the folds that train on sample 0
         fold = next(f for f, test_idx in enumerate(folds) if case != "overflow" or 0 not in test_idx)
         train_idx = np.setdiff1d(np.arange(ds.n_samples), folds[fold])
@@ -527,7 +526,7 @@ class TestNoLeakage:
 
     def test_fold_pca_ignores_test_samples(self):
         ds = toy_dataset()
-        folds = kfold_split(ds.n_samples, 2, ds.labels_unit(), seed=0)
+        folds = kfold_split(ds.n_samples, 2, ds.labels, seed=0)
         test_idx = folds[0]
         train_idx = np.setdiff1d(np.arange(ds.n_samples), test_idx)
         mutated = self.scramble_test_rows(ds, test_idx)
@@ -541,7 +540,7 @@ class TestNoLeakage:
         ds = toy_dataset()
         model = fit_fold_pca(ds, np.arange(ds.n_samples), 2)
         fm = assemble(dataset_scores(ds, model))
-        y = ds.labels_unit()
+        y = ds.labels
         train_idx = np.arange(0, ds.n_samples, 2)
         probe = np.linspace(-1.0, 1.0, fm.layout.width)[None, :]
         spec = ClassifierSpec("gaussian_svm")

@@ -1,6 +1,7 @@
 """Kernels, SMO training, and agreement with a projected-gradient QP."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
 from rootgrowth.evaluation import ClassifierSpec, fit_classifier, predict_labels
 from rootgrowth.svm import (
+    KERNEL_KINDS,
     SMO_TOL,
     KernelSpec,
     cross_gram,
@@ -22,7 +24,7 @@ from rootgrowth.svm import (
 from oracles import dual_value, kernel_eval, project_box_hyperplane, qp_max_dual, train_smo_reference
 
 # the kernels the CLI fits, with their parameters resolved from the data
-CLI_KERNELS = (KernelSpec.linear, KernelSpec.gaussian, KernelSpec.sigmoid)
+CLI_KERNELS = tuple(partial(KernelSpec, kind) for kind in KERNEL_KINDS)
 
 
 class TestKernelSpec:
@@ -32,11 +34,11 @@ class TestKernelSpec:
 
     def test_bad_sigma(self):
         with pytest.raises(ConfigError, match="sigma"):
-            KernelSpec.gaussian(-1.0)
+            KernelSpec("gaussian", sigma=-1.0)
 
     def test_default_slope(self):
         assert default_sigmoid_a(4) == 0.25
-        spec = resolve(KernelSpec.sigmoid(), np.zeros((3, 8)))
+        spec = resolve(KernelSpec("sigmoid"), np.zeros((3, 8)))
         assert spec.a == 1.0 / 8
 
     def test_median_distance(self):
@@ -69,9 +71,9 @@ class TestGramMatrices:
     def test_bitwise_symmetry_all_kernels(self):
         x = self.random_points(0)
         specs = [
-            KernelSpec.linear(),
-            KernelSpec.gaussian(1.3),
-            KernelSpec.sigmoid(0.25, 0.1),
+            KernelSpec("linear"),
+            KernelSpec("gaussian", sigma=1.3),
+            KernelSpec("sigmoid", a=0.25, b=0.1),
         ]
         for spec in specs:
             g = gram_matrix(resolve(spec, x), x)
@@ -79,10 +81,10 @@ class TestGramMatrices:
 
     def test_gaussian_diagonal_exactly_one(self):
         x = self.random_points(1)
-        g = gram_matrix(KernelSpec.gaussian(2.0), x)
+        g = gram_matrix(KernelSpec("gaussian", sigma=2.0), x)
         assert np.all(np.diag(g) == 1.0)
 
-    @pytest.mark.parametrize("make_kernel", CLI_KERNELS)
+    @pytest.mark.parametrize("make_kernel", CLI_KERNELS, ids=KERNEL_KINDS)
     def test_matches_pointwise_eval(self, make_kernel):
         x = self.random_points(2, n=6)
         spec = resolve(make_kernel(), x)
@@ -94,7 +96,7 @@ class TestGramMatrices:
     def test_cross_gram_consistent(self):
         x = self.random_points(3, n=5)
         z = self.random_points(4, n=7)
-        for spec in (KernelSpec.linear(), KernelSpec.gaussian(1.1), KernelSpec.sigmoid(0.2, 0.3)):
+        for spec in (KernelSpec("linear"), KernelSpec("gaussian", sigma=1.1), KernelSpec("sigmoid", a=0.2, b=0.3)):
             kz = cross_gram(spec, x, z)
             for i in range(5):
                 for j in range(7):
@@ -102,13 +104,13 @@ class TestGramMatrices:
 
     def test_gaussian_psd(self):
         x = self.random_points(5, n=15)
-        g = gram_matrix(KernelSpec.gaussian(0.7), x)
+        g = gram_matrix(KernelSpec("gaussian", sigma=0.7), x)
         w = np.linalg.eigvalsh(g)
         assert w.min() >= -1e-8
 
     def test_resolve_fills_sigma(self):
         x = self.random_points(6)
-        spec = resolve(KernelSpec.gaussian(), x)
+        spec = resolve(KernelSpec("gaussian"), x)
         assert spec.sigma == median_pairwise_distance(x)
 
 
@@ -142,7 +144,7 @@ class TestSmoTraining:
     def test_two_point_exact(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
-        model = train_smo(x, y, KernelSpec.linear(), c=1.0)
+        model = train_smo(x, y, KernelSpec("linear"), c=1.0)
         assert model.n_support == 2
         assert model.coef == pytest.approx([-0.5, 0.5], abs=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-9)
@@ -154,7 +156,7 @@ class TestSmoTraining:
         rng = np.random.default_rng(8)
         x = np.vstack([rng.standard_normal((10, 2)) + 4.0, rng.standard_normal((10, 2)) - 4.0])
         y = np.array([1.0] * 10 + [-1.0] * 10)
-        model = train_smo(x, y, KernelSpec.linear(), c=100.0)
+        model = train_smo(x, y, KernelSpec("linear"), c=100.0)
         f = decision_function(model, x)
         assert np.min(y * f) >= 1.0 - 5e-3
         assert np.array_equal(np.where(f > 0, 1.0, -1.0), y)
@@ -167,7 +169,7 @@ class TestSmoTraining:
             y = rng.choice([-1.0, 1.0], size=n)
             y[0], y[1] = 1.0, -1.0
             c = float(rng.uniform(0.5, 3.0))
-            spec = resolve(KernelSpec.gaussian(1.0), x)
+            spec = resolve(KernelSpec("gaussian", sigma=1.0), x)
             k = gram_matrix(spec, x)
             model = train_smo(x, y, spec, c=c, tol=1e-4)
             alpha = np.zeros(n)
@@ -184,8 +186,8 @@ class TestSmoTraining:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((12, 3))
         y = np.where(x[:, 0] > 0, 1.0, -1.0)
-        a = train_smo(x, y, KernelSpec.gaussian(), c=2.0)
-        b = train_smo(x, y, KernelSpec.gaussian(), c=2.0)
+        a = train_smo(x, y, KernelSpec("gaussian"), c=2.0)
+        b = train_smo(x, y, KernelSpec("gaussian"), c=2.0)
         assert np.array_equal(a.coef, b.coef)
         assert a.bias == b.bias
 
@@ -194,7 +196,7 @@ class TestSmoTraining:
         x = rng.standard_normal((15, 2))
         y = rng.choice([-1.0, 1.0], size=15)
         y[:2] = (1.0, -1.0)
-        model = train_smo(x, y, KernelSpec.sigmoid(), c=1.5)
+        model = train_smo(x, y, KernelSpec("sigmoid"), c=1.5)
         assert np.all(np.abs(model.coef) <= 1.5 + 1e-9)
         assert abs(model.coef.sum()) <= 1e-8 * 1.5
 
@@ -207,13 +209,13 @@ class TestSmoTraining:
     def test_input_validation(self):
         x = np.zeros((4, 2))
         with pytest.raises(ValueError, match="-1/\\+1"):
-            train_smo(x, np.array([0.0, 1.0, 0.0, 1.0]), KernelSpec.linear())
+            train_smo(x, np.array([0.0, 1.0, 0.0, 1.0]), KernelSpec("linear"))
         with pytest.raises(ConfigError):
-            train_smo(x, np.array([-1.0, 1.0, -1.0, 1.0]), KernelSpec.linear(), c=0.0)
+            train_smo(x, np.array([-1.0, 1.0, -1.0, 1.0]), KernelSpec("linear"), c=0.0)
         bad = x.copy()
         bad[0, 0] = np.inf
         with pytest.raises(DataFormatError, match="non-finite"):
-            train_smo(bad, np.array([-1.0, 1.0, -1.0, 1.0]), KernelSpec.linear())
+            train_smo(bad, np.array([-1.0, 1.0, -1.0, 1.0]), KernelSpec("linear"))
 
 
 def assert_same_fit(a, b, where=""):
@@ -260,7 +262,7 @@ class TestSmoMatchesReference:
                 f"trial {trial}",
             )
 
-    @pytest.mark.parametrize("make_kernel", CLI_KERNELS)
+    @pytest.mark.parametrize("make_kernel", CLI_KERNELS, ids=KERNEL_KINDS)
     def test_all_bound_end_state(self, make_kernel):
         # no multiplier strictly inside (0, C): the bias is the midpoint
         # of the feasible interval
@@ -313,13 +315,13 @@ class TestNonFinite:
         x, y = self.huge()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="linear kernel matrix has non-finite entries"):
-                train_smo(x, y, KernelSpec.linear())
+                train_smo(x, y, KernelSpec("linear"))
 
     def test_gaussian_gram_with_fixed_sigma(self):
         x, y = self.huge()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="gaussian kernel matrix has non-finite entries"):
-                train_smo(x, y, KernelSpec.gaussian(1.0))
+                train_smo(x, y, KernelSpec("gaussian", sigma=1.0))
 
     def test_median_distance(self):
         x, y = self.huge()
@@ -327,4 +329,4 @@ class TestNonFinite:
             with pytest.raises(NumericError, match="median pairwise distance is not finite"):
                 median_pairwise_distance(x)
             with pytest.raises(NumericError, match="median pairwise distance is not finite"):
-                train_smo(x, y, KernelSpec.gaussian())
+                train_smo(x, y, KernelSpec("gaussian"))
