@@ -2,7 +2,7 @@
 
 `window_search` owns the full pipeline: per fold it fits a PCA on the
 pooled training-fold frames only, and then evaluates each window on
-features assembled from that window's frames of every sample's scores
+features assembled from that window's frames of the samples' scores
 under the fold's PCA. Fold assignments are fixed once per (seed,
 dataset) and shared across every window so window comparisons are like
 for like.
@@ -11,7 +11,9 @@ The work unit is one (fold, window) pair, and units run fold by fold:
 at a fold's first unit a process drops the previous fold's scores and
 projects each sample through the fold's PCA in its own product, so it
 holds one fold's scores at a time, and a sample's scores do not depend
-on which other samples are projected with it. With n_jobs > 1 and more
+on which other samples are projected with it. A unit assembles its
+training rows and its test rows apart, from those samples' scores
+alone, and holds one fitted model at a time. With n_jobs > 1 and more
 than one window the units run in a process pool of at most one worker
 per window, which returns results in unit order like the serial loop,
 so the output is identical to the serial run byte for byte, and when
@@ -89,11 +91,13 @@ def fit_classifier(
     x = np.asarray(x, dtype=np.float64)
     y_unit = np.asarray(y_unit, dtype=np.int64).ravel()
     if spec.kind in SVM_KINDS:
-        kernel = {
-            "linear_svm": svm.KernelSpec("linear"),
-            "gaussian_svm": svm.KernelSpec("gaussian", sigma=spec.sigma),
-            "sigmoid_svm": svm.KernelSpec("sigmoid", a=spec.a, b=spec.b),
-        }[spec.kind]
+        # only the named kernel is built (and checked)
+        if spec.kind == "linear_svm":
+            kernel = svm.KernelSpec("linear")
+        elif spec.kind == "gaussian_svm":
+            kernel = svm.KernelSpec("gaussian", sigma=spec.sigma)
+        else:
+            kernel = svm.KernelSpec("sigmoid", a=spec.a, b=spec.b)
         return svm.train_smo(x, 2 * y_unit - 1, kernel, c=spec.c)
     cfg = replace(spec.train, seed=seed)
     if spec.kind == "me":
@@ -237,10 +241,12 @@ def _evaluate_unit(unit: tuple[int, int]):
     unconverged = 0
     start, end = window
     # each velocity and acceleration entry involves only frames inside
-    # the window, so these are bitwise the window's columns of the
-    # full-length features
-    x = features.assemble(ctx["scores"][:, start : end + 1], *ctx["blocks"]).values
-    x_train, x_test = x[train_idx], x[test_idx]
+    # the window, and assembly works sample by sample, so these rows are
+    # bitwise those of the window's full-length features; each split is
+    # assembled from its own samples' scores, with no pairing-wide matrix
+    scores = ctx["scores"]
+    x_train = features.assemble(scores[train_idx, start : end + 1], *ctx["blocks"]).values
+    x_test = features.assemble(scores[test_idx, start : end + 1], *ctx["blocks"]).values
     for spec in ctx["specs"]:
         fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
         try:
@@ -251,6 +257,8 @@ def _evaluate_unit(unit: tuple[int, int]):
         rates[spec.label] = error_rate(preds, labels[test_idx])
         if spec.kind in SVM_KINDS and fitted.kkt_residual > svm.SMO_TOL:
             unconverged += 1
+        # the model goes before the next fit, so a unit holds one at a time
+        del fitted
     return rates, unconverged
 
 

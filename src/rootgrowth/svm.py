@@ -63,7 +63,7 @@ def median_pairwise_distance(x: np.ndarray, inner: np.ndarray | None = None) -> 
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points for a pairwise median")
-    sq = np.sum(x * x, axis=1)
+    sq = _sq_row_norms(x)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T if inner is None else inner)
     med = float(np.median(np.sqrt(np.maximum(d2[_upper_pairs(n)], 0.0))))
     if not math.isfinite(med):
@@ -74,6 +74,30 @@ def median_pairwise_distance(x: np.ndarray, inner: np.ndarray | None = None) -> 
     if med <= 0:
         raise DataFormatError("median pairwise distance is zero (duplicate points)")
     return med
+
+
+_NORM_BLOCK = 8192  # elements squared at a time by `_sq_row_norms`, one numpy buffer
+
+
+def _sq_row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x * x, axis=1)`` bit for bit, squaring a few rows at a time.
+
+    A block of two or more rows keeps the memory order numpy gives the
+    product of the whole ``x``, so each row is summed in the same order:
+    pairwise along a C-ordered row, left to right across an F-ordered
+    one. A single-row block would lose that (it is both orders at once
+    and is summed pairwise), so the last block takes any lone row.
+    """
+    n, d = x.shape
+    step = max(2, _NORM_BLOCK // max(d, 1))
+    if step >= n:
+        return np.sum(x * x, axis=1)
+    out = np.empty(n)
+    bounds = [*range(0, n - 1, step), n]  # every block starts at least two rows before n
+    for r0, r1 in zip(bounds, bounds[1:]):
+        block = x[r0:r1]
+        np.sum(block * block, axis=1, out=out[r0:r1])
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -138,10 +162,7 @@ def cross_gram(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     if spec.kind == "linear":
         return g
     if spec.kind == "gaussian":
-        d2 = np.maximum(
-            np.sum(x * x, axis=1)[:, None] + np.sum(z * z, axis=1)[None, :] - 2.0 * g,
-            0.0,
-        )
+        d2 = np.maximum(_sq_row_norms(x)[:, None] + _sq_row_norms(z)[None, :] - 2.0 * g, 0.0)
         return np.exp(-d2 / (2.0 * spec.sigma**2))
     return np.tanh(spec.a * g + spec.b)
 

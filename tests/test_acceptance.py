@@ -374,8 +374,10 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys):
         # (c) when the classes differ in velocity dynamics and a
         # per-sample intercept hides absolute position, the velocity
         # and acceleration blocks must reduce the linear SVM's error
-        # on a majority of seeds
+        # on a majority of seeds; a failure names each seed's two best
+        # errors and how many fits of each search ended unconverged
         wins = 0
+        per_seed = []
         for seed in range(5):
             jitter = SyntheticConfig(
                 base_velocity=0.02, velocity_gap=0.002, acceleration_gap=0.0,
@@ -388,8 +390,15 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys):
                 include_velocity=False, include_acceleration=False,
             )
             augmented = window_search(ds_j, spec, WindowSpec(40, 1), 5, seed, n_components=3)
-            wins += augmented.best["Linear-SVM"][1] < scores_only.best["Linear-SVM"][1]
-        assert wins >= 3, f"velocity features won only {wins}/5 seeds"
+            plain_err = scores_only.best["Linear-SVM"][1]
+            augmented_err = augmented.best["Linear-SVM"][1]
+            wins += augmented_err < plain_err
+            fits = 5 * len(scores_only.windows)
+            per_seed.append(
+                f"seed {seed}: error {plain_err:.4f} scores only, {augmented_err:.4f} with velocity;"
+                f" unconverged fits {scores_only.unconverged}/{fits} and {augmented.unconverged}/{fits}"
+            )
+        assert wins >= 3, f"velocity features won only {wins}/5 seeds: " + " | ".join(per_seed)
 
 
 def test_gate_8_protocol_defaults(capsys):

@@ -1,11 +1,13 @@
 """Kernels, SMO training, and agreement with a projected-gradient QP."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
+from rootgrowth import svm
 from rootgrowth.errors import ConfigError, DataFormatError, NumericError
 from rootgrowth.evaluation import ClassifierSpec, fit_classifier, predict_labels
 from rootgrowth.svm import (
@@ -112,6 +114,62 @@ class TestGramMatrices:
         x = self.random_points(6)
         spec = resolve(KernelSpec("gaussian"), x)
         assert spec.sigma == median_pairwise_distance(x)
+
+
+def layouts(n, d, rng):
+    """C-ordered, F-ordered and column-strided (n, d) arrays of the same
+    values, with magnitudes over six decades so rounding order shows."""
+    base = rng.standard_normal((n, 2 * d)) * 10.0 ** rng.uniform(-3, 3, (n, 2 * d))
+    x = base[:, ::2]
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "strided": x}
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestSquaredRowNorms:
+    """Gaussian norms square a few rows at a time and keep the bits of
+    `np.sum(x * x, axis=1)`: numpy sums a C-ordered row pairwise, in
+    blocks of its 8192-element buffer, and an F-ordered row left to right."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bits_match_whole_product(self, layout):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 5, 16, 17, 40):
+            for d in (1, 2, 9, 171, 3510, 8191, 8192, 8193, 9000):
+                x = layouts(n, d, rng)[layout]
+                want = np.sum(x * x, axis=1)
+                assert np.array_equal(bits(svm._sq_row_norms(x)), bits(want)), (n, d)
+
+    def test_holds_a_few_rows_of_squares(self):
+        x = np.random.default_rng(12).standard_normal((40, 3510))
+        tracemalloc.start()
+        try:
+            svm._sq_row_norms(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * x.nbytes, peak / x.nbytes
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_gaussian_width_and_cross_gram_keep_their_bits(self, layout):
+        # the formulas as they read with the whole product squared
+        def sq(a):
+            return np.sum(a * a, axis=1)
+
+        rng = np.random.default_rng(13)
+        for n, m, d in ((16, 4, 3510), (17, 5, 9000), (40, 3, 171)):
+            x = layouts(n, d, rng)[layout]
+            z = layouts(m, d, rng)[layout]
+            d2 = sq(x)[:, None] + sq(x)[None, :] - 2.0 * (x @ x.T)
+            rows, cols = np.triu_indices(n, k=1)
+            sigma = float(np.median(np.sqrt(np.maximum(d2[rows, cols], 0.0))))
+            assert bits(median_pairwise_distance(x)) == bits(sigma)
+            spec = KernelSpec("gaussian", sigma=sigma)
+            cross = np.maximum(sq(x)[:, None] + sq(z)[None, :] - 2.0 * (x @ z.T), 0.0)
+            want = np.exp(-cross / (2.0 * sigma**2))
+            assert np.array_equal(bits(cross_gram(spec, x, z)), bits(want))
 
 
 class TestProjectionOracle:
