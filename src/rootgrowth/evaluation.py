@@ -91,7 +91,6 @@ def fit_classifier(
     x = np.asarray(x, dtype=np.float64)
     y_unit = np.asarray(y_unit, dtype=np.int64).ravel()
     if spec.kind in SVM_KINDS:
-        # only the named kernel is built (and checked)
         if spec.kind == "linear_svm":
             kernel = svm.KernelSpec("linear")
         elif spec.kind == "gaussian_svm":
