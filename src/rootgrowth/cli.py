@@ -630,7 +630,7 @@ def cmd_features_export(args) -> int:
     cfg = load_run_config(args)
     ds = _stage("load-dataset", load_csv, args.dataset)
     model = _fit_all_frames(ds, cfg.pca_components)
-    fm = _stage(
+    values = _stage(
         "assemble",
         features.assemble,
         evaluation.dataset_scores(ds, model),
@@ -638,16 +638,18 @@ def cmd_features_export(args) -> int:
         cfg.include_acceleration,
         cfg.literal_sum,
     )
+    layout = FeatureLayout(ds.n_frames, model.n_components, cfg.include_velocity, cfg.include_acceleration)
     out = args.out or "features.csv"
     _stage(
         "write-features",
         features.export_csv,
-        fm,
+        values,
+        layout,
         out,
         ds.sample_ids,
         [LABELS[c] for c in ds.labels],
     )
-    print(f"wrote {out}: {fm.n_samples} rows x {fm.layout.width} feature columns")
+    print(f"wrote {out}: {values.shape[0]} rows x {values.shape[1]} feature columns")
     return 0
 
 

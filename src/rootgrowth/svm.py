@@ -65,7 +65,11 @@ def median_pairwise_distance(x: np.ndarray, inner: np.ndarray | None = None) -> 
         raise ValueError("need at least 2 points for a pairwise median")
     sq = _sq_row_norms(x)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T if inner is None else inner)
-    med = float(np.median(np.sqrt(np.maximum(d2[_upper_pairs(n)], 0.0))))
+    dist = np.sort(np.sqrt(np.maximum(d2[_upper_pairs(n)], 0.0)))
+    # np.median without its NaN check, which imports numpy.ma: the mean of
+    # the one or two middle distances, or a NaN, which sorts last
+    m = dist.size
+    med = float(dist[-1] if math.isnan(dist[-1]) else np.mean(dist[(m - 1) // 2 : m // 2 + 1]))
     if not math.isfinite(med):
         raise NumericError(
             f"median pairwise distance is not finite (points up to "

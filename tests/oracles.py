@@ -715,7 +715,7 @@ def _reference_evaluate_window(ctx, w_idx):
     unconverged = 0
     start, end = window
     for fold_idx, (scores, train_idx, test_idx) in enumerate(ctx["fold_scores"]):
-        x = features.assemble(scores[:, start : end + 1], *ctx["blocks"]).values
+        x = features.assemble(scores[:, start : end + 1], *ctx["blocks"])
         x_train, x_test = x[train_idx], x[test_idx]
         for spec in ctx["specs"]:
             fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)

@@ -39,6 +39,7 @@ from rootgrowth.evaluation import (
     window_search,
 )
 from rootgrowth.features import (
+    FeatureLayout,
     WindowSpec,
     acceleration,
     assemble,
@@ -313,14 +314,14 @@ def test_gate_6_feature_pipeline_identities(capsys):
             t = int(rng.integers(5, 30))
             k = int(rng.integers(1, 4))
             scores = rng.standard_normal((4, t, k))
-            fm = assemble(scores)
-            assert np.array_equal(slice_features(fm, (0, t - 1)).values, fm.values)
+            x, layout = assemble(scores), FeatureLayout(t, k)
+            assert np.array_equal(slice_features(x, layout, (0, t - 1)), x)
             start = int(rng.integers(0, t - 2))
             end = start + int(rng.integers(3, t - start + 1)) - 1
-            window = slice_features(fm, (start, end))
+            window = slice_features(x, layout, (start, end))
             direct = assemble(scores[:, start : end + 1])
-            assert np.array_equal(window.values, direct.values)
-            assert window.layout == direct.layout
+            assert np.array_equal(window, direct)
+            assert window.shape == (4, len(FeatureLayout(end - start + 1, k).column_names()))
 
         for _ in range(50):
             t = int(rng.integers(3, 400))
@@ -342,8 +343,8 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys):
         fold_errors = []
         for test_idx in folds:
             train_idx = np.setdiff1d(np.arange(ds.n_samples), test_idx)
-            fm = assemble(dataset_scores(ds, fit_fold_pca(ds, train_idx, 3)))
-            fold_errors.append(nearest_centroid_cv_error(fm.values, labels, [test_idx]))
+            x = assemble(dataset_scores(ds, fit_fold_pca(ds, train_idx, 3)))
+            fold_errors.append(nearest_centroid_cv_error(x, labels, [test_idx]))
         oracle = float(np.mean(fold_errors))
         assert 0.10 <= oracle <= 0.20, f"noise miscalibrated: baseline at {oracle:.3f}"
 

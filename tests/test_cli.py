@@ -259,17 +259,20 @@ class TestRun:
         for name in ("results.json", "results.csv", "table.txt"):
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
 
-    def test_serial_run_loads_no_process_pool(self, tmp_path):
+    @pytest.mark.parametrize("classifiers", ["linear_svm", "linear_svm, gaussian_svm"])
+    def test_serial_run_loads_no_process_pool(self, tmp_path, classifiers):
         # the pool's modules cost memory and start-up time, and only a
-        # run with more than one job and window uses them
-        cfg = write_config(tmp_path, TINY)
+        # run with more than one job and window uses them; no run needs
+        # numpy.ma, which np.median and np.setdiff1d import
+        cfg = write_config(tmp_path, TINY.replace("classifiers = linear_svm", f"classifiers = {classifiers}"))
         src = str(Path(rootgrowth.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         script = (
             "import sys\n"
             "from rootgrowth.cli import main\n"
             f"assert main(['run', '--config', {cfg!r}, '--out', 'r']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')\n"
+            "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),

@@ -530,7 +530,7 @@ class TestUnitWorkingSet:
             train_idx = np.setdiff1d(np.arange(ds.n_samples), test_idx)
             scores = dataset_scores(ds, fit_fold_pca(ds, train_idx, n_components))
             for start, end in windows:
-                full = assemble(scores[:, start : end + 1], *blocks).values
+                full = assemble(scores[:, start : end + 1], *blocks)
                 for spec in self.SPECS:
                     key = derive(seed, "window", start, "fit", fold, spec.kind)
                     expected[key] = (full[train_idx], full[test_idx])
@@ -559,11 +559,9 @@ class TestUnitWorkingSet:
         # frames when a unit assembled the whole pairing's features,
         # gathered its splits from them, kept the previous model through
         # the next fit and squared x whole for Gaussian norms; 0.92x
-        # without those. A small search runs first: the first Gaussian
-        # fit's np.median imports numpy.ma (0.4x here), which a test run
-        # earlier in the process may have done already
+        # without those. A search imports no module on the way (numpy.ma
+        # was 0.4x here), so the ratio holds whatever ran before it
         specs = [ClassifierSpec("linear_svm"), ClassifierSpec("gaussian_svm")]
-        window_search(toy_dataset(), specs, WindowSpec(5, 3), 2, 0, n_components=2)
         ds = generate_synthetic(SyntheticConfig(n_per_class=10, n_frames=300, n_coords=60, seed=4))
         tracemalloc.start()
         try:
@@ -654,12 +652,12 @@ class TestNoLeakage:
     def test_classifier_fit_ignores_test_rows(self):
         ds = toy_dataset()
         model = fit_fold_pca(ds, np.arange(ds.n_samples), 2)
-        fm = assemble(dataset_scores(ds, model))
+        x = assemble(dataset_scores(ds, model))
         y = ds.labels
         train_idx = np.arange(0, ds.n_samples, 2)
-        probe = np.linspace(-1.0, 1.0, fm.layout.width)[None, :]
+        probe = np.linspace(-1.0, 1.0, x.shape[1])[None, :]
         spec = ClassifierSpec("gaussian_svm")
-        a = fit_classifier(spec, fm.values[train_idx], y[train_idx], seed=5)
-        b = fit_classifier(spec, fm.values[train_idx], y[train_idx], seed=5)
+        a = fit_classifier(spec, x[train_idx], y[train_idx], seed=5)
+        b = fit_classifier(spec, x[train_idx], y[train_idx], seed=5)
         assert np.array_equal(predict_labels(a, probe), predict_labels(b, probe))
         assert np.array_equal(a.coef, b.coef)
