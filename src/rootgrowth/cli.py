@@ -67,19 +67,10 @@ class RunConfig:
     def __post_init__(self):
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.pca_components < 1:
-            raise ConfigError(f"pca_components must be >= 1, got {self.pca_components}")
-        if self.window_length < 3:
-            raise ConfigError(f"window_length must be >= 3, got {self.window_length}")
-        if self.window_stride < 1:
-            raise ConfigError(f"window_stride must be >= 1, got {self.window_stride}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for kind in self.classifiers:
-            if kind not in evaluation.KIND_LABELS:
-                raise ConfigError(f"unknown classifier {kind!r} in classifiers")
         if not self.classifiers:
             raise ConfigError("classifiers list is empty")
         if len(set(self.classifiers)) != len(self.classifiers):
@@ -89,20 +80,17 @@ class RunConfig:
                 raise ConfigError(f"pairings entry {wild}:{mutated} needs two distinct non-empty tags")
         if len(set(self.pairings)) != len(self.pairings):
             raise ConfigError("pairings list contains duplicates")
-        # the checks of the objects each key feeds, one key at a time so
-        # that a failure names it; every key is checked, used or not
-        for key, check in _CHECKED_BY.items():
-            try:
-                check(getattr(self, key))
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
+        # the checks of the objects the keys feed; every key is checked,
+        # used or not, as a spec checks the fields its kind does not read
         try:
+            self.specs()
             FeatureLayout(
                 self.window_length, self.pca_components,
                 self.include_velocity, self.include_acceleration,
             )
-        except ValueError as exc:
-            raise ConfigError(f"config key 'include_acceleration': {exc}") from None
+            self.window_spec()
+        except ConfigError as exc:
+            raise _blamed(exc, lambda name: (_KEY_OF.get(name, name),)) from None
 
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.window_length, self.window_stride)
@@ -135,26 +123,42 @@ class RunConfig:
         return out
 
 
-_CHECKED_BY = {
-    "svm_c": lambda v: ClassifierSpec("linear_svm", c=v),
-    "svm_sigma": lambda v: ClassifierSpec("gaussian_svm", sigma=v),
-    "svm_a": lambda v: ClassifierSpec("sigmoid_svm", a=v),
-    "svm_b": lambda v: ClassifierSpec("sigmoid_svm", b=v),
-    "lam": lambda v: ClassifierSpec("ncl", lam=v),
-    "n_experts": lambda v: TrainConfig(n_experts=v),
-    "hidden": lambda v: TrainConfig(hidden=v),
-    "epochs": lambda v: TrainConfig(epochs=v),
-    "eta_experts": lambda v: TrainConfig(eta_experts=v),
-    "eta_gate": lambda v: TrainConfig(eta_gate=v),
+# the config key of each field the checks above can blame, where the
+# two names differ
+_KEY_OF = {
+    "kind": "classifiers",
+    "c": "svm_c",
+    "sigma": "svm_sigma",
+    "a": "svm_a",
+    "b": "svm_b",
+    "n_frames": "window_length",
+    "n_components": "pca_components",
+    "has_velocity": "include_velocity",
+    "has_acceleration": "include_acceleration",
+    "length": "window_length",
+    "stride": "window_stride",
 }
+
+
+def _synthetic_keys(name: str) -> tuple[str, ...]:
+    """The config keys that set a SyntheticConfig field."""
+    if name == "signal_window":
+        return ("synthetic_signal_start", "synthetic_signal_end")
+    return (f"synthetic_{name}",)
+
+
+def _blamed(exc: ConfigError, keys_of) -> ConfigError:
+    """`exc` led by the config keys that set the fields it blames, as
+    ``keys_of(field)`` gives them."""
+    named = " and ".join(
+        ("config key " if len(keys) == 1 else "config keys ") + " and ".join(map(repr, keys))
+        for keys in map(keys_of, exc.fields)
+    )
+    return ConfigError(f"{named}: {exc}" if named else str(exc))
 
 
 # ---------------------------------------------------------------------------
 # Config file parsing (key = value lines)
-
-
-# the SyntheticConfig fields that are checked as a pair
-_TAG_FIELDS = ("wild_tag", "mutated_tag")
 
 
 def _parse_bool(value: str) -> bool:
@@ -254,29 +258,8 @@ def build_run_config(
     start, end = synth.pop("signal_start", None), synth.pop("signal_end", None)
     if (start is None) != (end is None):
         raise ConfigError("synthetic_signal_start and synthetic_signal_end must be set together")
-    tags = {name: synth.pop(name) for name in _TAG_FIELDS if name in synth}
-    # one field at a time, so that a failure names its key
-    for name, value in synth.items():
-        try:
-            SyntheticConfig(**{name: value})
-        except ConfigError as exc:
-            raise ConfigError(f"config key 'synthetic_{name}': {exc}") from None
-    # the tags together, as a tag equal to the other one (set or default)
-    # is a fault of both keys; an empty tag is its own key's
-    try:
-        SyntheticConfig(**tags)
-    except ConfigError as exc:
-        empty = [name for name, value in tags.items() if not value]
-        keys = " and ".join(f"config key 'synthetic_{name}'" for name in empty[:1] or _TAG_FIELDS)
-        raise ConfigError(f"{keys}: {exc}") from None
-    synth.update(tags)
     if start is not None:
         synth["signal_window"] = (start, end)
-        try:
-            SyntheticConfig(**synth)
-        except ConfigError as exc:
-            keys = "'synthetic_signal_start' and 'synthetic_signal_end'"
-            raise ConfigError(f"config keys {keys}: {exc}") from None
     if seed is not None:
         kwargs["seed"] = seed
     if jobs is not None:
@@ -286,9 +269,11 @@ def build_run_config(
     try:
         synth["seed"] = derive(kwargs.get("seed", 0), "synthetic-data")
         kwargs["synthetic"] = SyntheticConfig(**synth)
-        return RunConfig(**kwargs)
+    except ConfigError as exc:
+        raise _blamed(exc, _synthetic_keys) from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    return RunConfig(**kwargs)
 
 
 def load_run_config(args) -> RunConfig:

@@ -400,29 +400,32 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if self.n_per_class < 1:
-            raise ConfigError("n_per_class must be >= 1")
+            raise ConfigError("n_per_class must be >= 1", ("n_per_class",))
         if self.n_frames < 3:
-            raise ConfigError("n_frames must be >= 3")
+            raise ConfigError("n_frames must be >= 3", ("n_frames",))
         if self.n_coords < 1:
-            raise ConfigError("n_coords must be >= 1")
+            raise ConfigError("n_coords must be >= 1", ("n_coords",))
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"{f.name} must be finite, got {value}", (f.name,))
         for name in ("noise_sd", "intercept_sd", "ripple_gap"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}", (name,))
         for name in ("wild_tag", "mutated_tag"):
             if not getattr(self, name):
-                raise ConfigError(f"{name} must be non-empty")
+                raise ConfigError(f"{name} must be non-empty", (name,))
         if self.wild_tag == self.mutated_tag:
-            raise ConfigError(f"wild_tag and mutated_tag must differ, both are {self.wild_tag!r}")
+            raise ConfigError(
+                f"wild_tag and mutated_tag must differ, both are {self.wild_tag!r}", ("wild_tag", "mutated_tag")
+            )
         if self.signal_window is not None:
             s0, s1 = self.signal_window
             if not (0 <= s0 < s1 <= self.n_frames - 1):
                 raise ConfigError(
                     f"signal_window {self.signal_window} out of range for "
-                    f"T={self.n_frames}"
+                    f"T={self.n_frames}",
+                    ("signal_window",),
                 )
 
 

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataFormatError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError
 from .seeding import derive
 
 VARIANTS = ("ncl", "gated_ncl", "me", "mnce")
@@ -57,15 +57,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.n_experts < 2:
-            raise ValueError(f"need at least 2 experts, got {self.n_experts}")
+            raise ConfigError(f"need at least 2 experts, got {self.n_experts}", ("n_experts",))
         if self.hidden < 1:
-            raise ValueError(f"need at least 1 hidden neuron, got {self.hidden}")
+            raise ConfigError(f"need at least 1 hidden neuron, got {self.hidden}", ("hidden",))
         if self.epochs < 1:
-            raise ValueError(f"need at least 1 epoch, got {self.epochs}")
+            raise ConfigError(f"need at least 1 epoch, got {self.epochs}", ("epochs",))
         for name in ("eta_experts", "eta_gate"):
             rate = getattr(self, name)
             if not (math.isfinite(rate) and rate > 0):
-                raise ValueError(f"{name} must be finite and positive, got {rate}")
+                raise ConfigError(f"{name} must be finite and positive, got {rate}", (name,))
 
 
 @dataclass

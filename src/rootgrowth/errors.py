@@ -8,7 +8,15 @@ for non-finite values produced during computation.
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value or unusable option combination."""
+    """Invalid configuration value or unusable option combination.
+
+    ``fields`` names the settings a failed check blames, so that a caller
+    can name them in its own terms (the CLI names config keys).
+    """
+
+    def __init__(self, message: str = "", fields: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.fields = fields
 
 
 class DataFormatError(ValueError):

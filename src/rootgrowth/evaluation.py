@@ -65,19 +65,19 @@ class ClassifierSpec:
 
     def __post_init__(self):
         if self.kind not in KIND_LABELS:
-            raise ConfigError(f"unknown classifier kind {self.kind!r}")
+            raise ConfigError(f"unknown classifier kind {self.kind!r}", ("kind",))
         # every field is checked whatever the kind reads, so a value that
         # only another kind would use is caught too
         if not (math.isfinite(self.c) and self.c > 0):
-            raise ConfigError(f"C must be finite and positive, got {self.c}")
+            raise ConfigError(f"C must be finite and positive, got {self.c}", ("c",))
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
+            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}", ("sigma",))
         for name in ("a", "b"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+                raise ConfigError(f"{name} must be finite, got {value}", (name,))
         if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}", ("lam",))
 
     @property
     def label(self) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,11 @@ class FeatureLayout:
 
     def __post_init__(self):
         if self.n_frames < 3:
-            raise ValueError(f"need at least 3 frames, got {self.n_frames}")
+            raise ConfigError(f"need at least 3 frames, got {self.n_frames}", ("n_frames",))
         if self.n_components < 1:
-            raise ValueError(f"need at least 1 component, got {self.n_components}")
+            raise ConfigError(f"need at least 1 component, got {self.n_components}", ("n_components",))
         if self.has_acceleration and not self.has_velocity:
-            raise ValueError("acceleration requires velocity")
+            raise ConfigError("acceleration requires velocity", ("has_acceleration",))
 
     def column_names(self) -> list[str]:
         k = self.n_components
@@ -54,9 +54,9 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.length < 1:
-            raise ValueError(f"window length must be >= 1, got {self.length}")
+            raise ConfigError(f"window length must be >= 1, got {self.length}", ("length",))
         if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+            raise ConfigError(f"stride must be >= 1, got {self.stride}", ("stride",))
 
 
 def velocity(scores: np.ndarray, literal_sum: bool = False) -> np.ndarray:

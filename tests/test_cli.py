@@ -23,7 +23,11 @@ from rootgrowth.cli import (
     parse_config_file,
     render_table,
 )
+from rootgrowth.dataset import SyntheticConfig
+from rootgrowth.ensembles import TrainConfig
 from rootgrowth.errors import ConfigError
+from rootgrowth.evaluation import ClassifierSpec
+from rootgrowth.features import FeatureLayout, WindowSpec
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -159,6 +163,23 @@ class TestConfigParsing:
         for obj, base in ((cfg, default), (cfg.synthetic, default.synthetic)):
             for f in dataclasses.fields(obj):
                 assert getattr(obj, f.name) != getattr(base, f.name), f.name
+
+    def test_line_without_equals_named(self, tmp_path, capsys):
+        path = write_config(tmp_path, "folds = 3\nfolds\n")
+        assert main(["run", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: expected key = value\n"
+
+    def test_every_blamed_key_is_a_config_key(self):
+        # a failed check blames fields, which the CLI names as config keys;
+        # the nested train config and the derived seeds are set by no key
+        owners = (ClassifierSpec, TrainConfig, FeatureLayout, WindowSpec)
+        names = {f.name for owner in owners for f in dataclasses.fields(owner)} - {"train", "seed"}
+        assert set(cli._KEY_OF) <= names
+        keys = {cli._KEY_OF.get(name, name) for name in names}
+        for f in dataclasses.fields(SyntheticConfig):
+            if f.name != "seed":
+                keys.update(cli._synthetic_keys(f.name))
+        assert keys <= set(cli._KEY_PARSERS)
 
     @pytest.mark.parametrize("key", ["synthetic_seed", "synthetic_signal_window", "synthetic"])
     def test_derived_fields_are_not_keys(self, tmp_path, key):
@@ -407,6 +428,11 @@ class TestFailFast:
             ("eta_experts = nan", "eta_experts"),
             ("eta_gate = 0", "eta_gate"),
             ("include_velocity = false", "include_acceleration"),
+            ("include_velocity = maybe", "include_velocity"),
+            ("pca_components = 0", "pca_components"),
+            ("window_length = 2", "window_length"),
+            ("window_stride = 0", "window_stride"),
+            ("classifiers = linear_svm, forest", "classifiers"),
             ("synthetic_n_per_class = 0", "synthetic_n_per_class"),
             ("synthetic_n_frames = 2", "synthetic_n_frames"),
             ("synthetic_n_coords = 0", "synthetic_n_coords"),
@@ -450,6 +476,8 @@ class TestFailFast:
             ("pairings = wt_syn:wt_syn", "pairings entry wt_syn:wt_syn needs two distinct non-empty tags"),
             ("pairings = wt_syn:", "pairings entry wt_syn: needs two distinct non-empty tags"),
             ("pairings = wt_syn:mut_syn, wt_syn:mut_syn", "pairings list contains duplicates"),
+            ("jobs = 0", "jobs must be >= 1, got 0"),
+            ("classifiers = ncl, ncl", "classifiers list contains duplicates"),
         ],
     )
     def test_classifiers_and_pairings_checked_at_parse(self, tmp_path, monkeypatch, capsys, line, message):
@@ -595,7 +623,7 @@ class TestPcaFit:
         out = capsys.readouterr().out
         assert "note: clamping components 9 -> 3" in out and "3 components over 240 frames" in out
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
     def test_components_below_one_is_usage_error(self, tmp_path, capsys, value):
         # rejected while parsing, before the (missing) CSV is read
         missing = str(tmp_path / "missing.csv")
@@ -677,6 +705,37 @@ class TestExitCodes:
         assert main(["pca-fit", str(data), "--out", str(tmp_path / "m.pca")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: load-dataset: {manifest}: not UTF-8 text")
+
+    def test_manifest_line_without_equals_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert main(["generate", "--config", write_config(tmp_path, TINY), "--out", str(data)]) == 0
+        manifest = tmp_path / "d.manifest"
+        manifest.write_text("n_frames=24\nwild_tag\n")
+        assert main(["pca-fit", str(data), "--out", str(tmp_path / "m.pca")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: load-dataset: {manifest}:2: expected key=value")
+
+    def test_results_not_json_is_data_error(self, tmp_path, capsys):
+        results = tmp_path / "r.json"
+        results.write_text("rows: []\n")
+        assert main(["report", str(results)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: read-results: {results}: not a JSON results file")
+
+    def test_numeric_failure_exits_3(self, tmp_path, capsys):
+        # coordinates near 1e200 overflow the fold PCA's variances
+        rows = [
+            f"s{i},{('wt', 'mut')[i % 2]},{('wild', 'mutated')[i % 2]},{f},"
+            + ",".join(f"{((i * 12 + f) * 3 + j) % 7 - 3}e200" for j in range(3))
+            for i in range(6) for f in range(12)
+        ]
+        data = tmp_path / "tracks.csv"
+        data.write_text("sample_id,group_tag,label,frame_index,v0,v1,v2\n" + "\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, (
+            f"dataset = {data}\npairings = wt:mut\npca_components = 2\nwindow_length = 6\n"
+            "folds = 3\nclassifiers = linear_svm\n"
+        ))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err.startswith("error: window-search: fold 0: PCA variances overflow")
+        assert not (tmp_path / "r").exists()
 
     def test_results_not_utf8_is_data_error(self, tmp_path, capsys):
         results = tmp_path / "r.json"

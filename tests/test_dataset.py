@@ -206,6 +206,10 @@ LOADER_CASES = [
     ("no-final-newline", "\n".join(GOOD), None),
     ("header-only", HEADER + "\n", "tracks.csv: no data rows"),
     ("empty-file", "", "tracks.csv: empty file"),
+    ("no-coordinate-columns", "sample_id,group_tag,label,frame_index\na,wt,wild,0\n",
+     "tracks.csv: header has no coordinate columns"),
+    ("header-not-meta-first", "\n".join(["id,group_tag,label,frame_index,v0,v1"] + GOOD[1:]) + "\n",
+     "tracks.csv: header must start with sample_id,group_tag,label,frame_index"),
     ("blank-line-middle", "\n".join(GOOD[:4] + [""] + GOOD[4:]) + "\n", "tracks.csv:5: expected 6 fields, got 0"),
     ("blank-line-end", "\n".join(GOOD) + "\n\n", "tracks.csv:8: expected 6 fields, got 0"),
     ("short-row", lines_with(l3="a,wt,wild,1,0.75"), "tracks.csv:3: expected 6 fields, got 5"),
