@@ -14,8 +14,8 @@ holds one fold's scores at a time, and a sample's scores do not depend
 on which other samples are projected with it. A unit assembles its
 training rows and its test rows apart, from those samples' scores
 alone, and holds one fitted model at a time. With n_jobs > 1 and more
-than one window the units run in a process pool of at most one worker
-per window, which returns results in unit order like the serial loop,
+than one unit the units run in a process pool of at most one worker
+per unit, which returns results in unit order like the serial loop,
 so the output is identical to the serial run byte for byte, and when
 several fits fail the first in fold-major order is the one reported.
 """
@@ -308,7 +308,7 @@ def window_search(
     }
     units = [(f, w) for f in range(len(folds)) for w in range(len(windows))]
 
-    workers = min(n_jobs, len(windows))
+    workers = min(n_jobs, len(units))
     if workers == 1:
         _init_worker(ctx)
         try:

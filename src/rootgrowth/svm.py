@@ -32,7 +32,7 @@ class KernelSpec:
 
     ``sigma=None`` (Gaussian) and ``a=None`` (sigmoid) mean "resolve
     from the training data": the median pairwise distance and 1/d
-    respectively. `resolve` fills them in.
+    respectively. `resolve` fills them in, as the Grams need.
     """
 
     kind: str
@@ -127,13 +127,6 @@ def resolve(spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None) ->
     return out
 
 
-def _require_resolved(spec: KernelSpec) -> None:
-    if spec.kind == "gaussian" and spec.sigma is None:
-        raise ConfigError("gaussian kernel sigma not resolved")
-    if spec.kind == "sigmoid" and spec.a is None:
-        raise ConfigError("sigmoid kernel slope not resolved")
-
-
 def gram_matrix(spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix over the rows of ``x``; bitwise symmetric.
 
@@ -142,32 +135,32 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None
     transform, so K[i, j] == K[j, i] exactly and distance-based
     diagonals are exactly zero.
     """
-    _require_resolved(spec)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"x must be (n>=1, d), got shape {x.shape}")
-    g = _mirrored(x @ x.T if inner is None else inner)
-    if spec.kind == "linear":
-        return g
-    if spec.kind == "gaussian":
-        d2 = _sq_distances(g)
-        return np.exp(-d2 / (2.0 * spec.sigma**2))
-    return np.tanh(spec.a * g + spec.b)
+    return _kernel(spec, _mirrored(x @ x.T if inner is None else inner), _sq_distances)
 
 
 def cross_gram(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Kernel values K(x_i, z_j) as an (n, m) matrix."""
-    _require_resolved(spec)
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if x.ndim != 2 or z.ndim != 2 or x.shape[1] != z.shape[1]:
         raise ValueError(f"incompatible shapes {x.shape} and {z.shape}")
-    g = x @ z.T
+    return _kernel(
+        spec,
+        x @ z.T,
+        lambda g: np.maximum(_sq_row_norms(x)[:, None] + _sq_row_norms(z)[None, :] - 2.0 * g, 0.0),
+    )
+
+
+def _kernel(spec: KernelSpec, g: np.ndarray, sq_distances) -> np.ndarray:
+    """Kernel values from inner products ``g``; ``sq_distances(g)`` gives the
+    squared distances the Gaussian needs, so only that kernel computes them."""
     if spec.kind == "linear":
         return g
     if spec.kind == "gaussian":
-        d2 = np.maximum(_sq_row_norms(x)[:, None] + _sq_row_norms(z)[None, :] - 2.0 * g, 0.0)
-        return np.exp(-d2 / (2.0 * spec.sigma**2))
+        return np.exp(-sq_distances(g) / (2.0 * spec.sigma**2))
     return np.tanh(spec.a * g + spec.b)
 
 

@@ -400,6 +400,8 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys):
                 f" unconverged fits {scores_only.unconverged}/{fits} and {augmented.unconverged}/{fits}"
             )
         assert wins >= 3, f"velocity features won only {wins}/5 seeds: " + " | ".join(per_seed)
+        with capsys.disabled():
+            print(f"\ngate 7(c): PASS, velocity features won {wins}/5 seeds", *per_seed, sep="\n  ", flush=True)
 
 
 def test_gate_8_protocol_defaults(capsys):

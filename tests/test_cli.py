@@ -181,6 +181,18 @@ class TestConfigParsing:
                 keys.update(cli._synthetic_keys(f.name))
         assert keys <= set(cli._KEY_PARSERS)
 
+    def test_readme_key_tables_name_exactly_the_config_keys(self):
+        # the synthetic table drops the `synthetic_` prefix its keys share;
+        # a row may name two keys that go together
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        keys = []
+        for heading, prefix in (("Protocol keys", ""), ("Synthetic generator keys", "synthetic_")):
+            table = readme.split(f"\n{heading}", 1)[1].split("\n\n", 2)[1]
+            for row in table.splitlines()[2:]:
+                keys += [prefix + key for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(cli._KEY_PARSERS)
+
     @pytest.mark.parametrize("key", ["synthetic_seed", "synthetic_signal_window", "synthetic"])
     def test_derived_fields_are_not_keys(self, tmp_path, key):
         path = write_config(tmp_path, f"seed = 1\n{key} = 3\n")
@@ -283,8 +295,8 @@ class TestRun:
     @pytest.mark.parametrize("classifiers", ["linear_svm", "linear_svm, gaussian_svm"])
     def test_serial_run_loads_no_process_pool(self, tmp_path, classifiers):
         # the pool's modules cost memory and start-up time, and only a
-        # run with more than one job and window uses them; no run needs
-        # numpy.ma, which np.median and np.setdiff1d import
+        # run with more than one job and (fold, window) unit uses them;
+        # no run needs numpy.ma, which np.median and np.setdiff1d import
         cfg = write_config(tmp_path, TINY.replace("classifiers = linear_svm", f"classifiers = {classifiers}"))
         src = str(Path(rootgrowth.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -202,7 +202,7 @@ class TestWindowSearch:
         parallel = self.run_search(ds, n_jobs=2)
         assert serial == parallel
 
-    def test_pool_has_at_most_one_worker_per_window(self, monkeypatch):
+    def test_pool_has_at_most_one_worker_per_unit(self, monkeypatch):
         # the fake pool records its size and maps in this process, so no
         # worker starts
         sizes = []
@@ -224,8 +224,9 @@ class TestWindowSearch:
         # window_search imports the pool class when it runs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         ds = toy_dataset(seed=1)
-        # stride 6 gives windows (0, 4) and (6, 10); stride 8 only (0, 4)
-        for stride, pools in ((6, [2]), (8, [])):
+        # stride 6 gives windows (0, 4) and (6, 10); stride 8 only (0, 4);
+        # each window runs once per fold, and there are two folds
+        for stride, pools in ((6, [4]), (8, [2])):
             sizes.clear()
             serial = self.run_search(ds, n_jobs=1, stride=stride)
             assert self.run_search(ds, n_jobs=8, stride=stride) == serial
