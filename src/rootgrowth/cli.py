@@ -412,7 +412,8 @@ def run_protocol(cfg: RunConfig) -> dict:
                 f"residual above the solver tolerance {svm.SMO_TOL:g}",
                 file=sys.stderr,
             )
-        best_label = min(labels, key=lambda lab: (result.best[lab][1], labels.index(lab)))
+        # the first minimum in column order
+        best_label = min(labels, key=lambda lab: result.best[lab][1])
         rows.append(
             {
                 "wild_tag": wild_tag,
@@ -420,24 +421,21 @@ def run_protocol(cfg: RunConfig) -> dict:
                 "n_samples": pair_ds.n_samples,
                 "windows": [
                     {
-                        "start": int(res.window[0]),
-                        "end": int(res.window[1]),
+                        "start": res.window[0],
+                        "end": res.window[1],
                         "errors": {lab: res.errors[lab] for lab in labels},
                     }
                     for res in result.windows
                 ],
                 "best": {
                     lab: {
-                        "window": [int(result.best[lab][0][0]), int(result.best[lab][0][1])],
+                        "window": list(result.best[lab][0]),
                         "error": result.best[lab][1],
                     }
                     for lab in labels
                 },
                 "row_best_label": best_label,
-                "row_best_frames": [
-                    int(result.best[best_label][0][0]),
-                    int(result.best[best_label][0][1]),
-                ],
+                "row_best_frames": list(result.best[best_label][0]),
             }
         )
     return {

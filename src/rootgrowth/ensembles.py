@@ -2,13 +2,13 @@
 
 Every expert is a one-hidden-layer MLP with sigmoid activations at both
 layers and a trailing bias weight per layer; a gate is the same network
-with one output per expert. Every fit runs one stacked engine over one
-stack per layer: the experts and a mixture's gate, or gated NCL's gate
-alone. A pattern step updates all of them at once, bitwise as the
-update rules stated one network and one pattern at a time would (those
-rules, with the reference trainers built on them, are in
-tests/oracles.py). A trained model's networks are read-only views of
-the stacks the engine trained:
+with one output per expert. A fit draws one stack per layer (the
+experts, then the gate of every variant but plain NCL), trains it in
+place with one stacked engine and returns it, read-only, as the model;
+the model's networks are views of it. A pattern step updates all the
+networks it trains at once, bitwise as the update rules stated one
+network and one pattern at a time would (those rules, with the
+reference trainers built on them, are in tests/oracles.py):
 
   ncl        experts trained together, each on its squared error plus
              lambda times the correlation penalty; simple averaging.
@@ -79,10 +79,6 @@ class MlpNetwork:
     w_hidden: np.ndarray  # (hidden, n_inputs + 1)
     w_out: np.ndarray  # (n_outputs, hidden + 1)
 
-    @property
-    def n_inputs(self) -> int:
-        return self.w_hidden.shape[1] - 1
-
 
 def init_mlp(n_inputs: int, hidden: int, seed: int, n_outputs: int = 1) -> MlpNetwork:
     """Fresh network with weights uniform on [-0.5, 0.5], hidden layer drawn first."""
@@ -109,22 +105,35 @@ def gncl_target(target: float, outputs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Trained ensemble; ``gate`` is None for plain NCL averaging."""
+    """Trained ensemble: the read-only stacks its fit drew and trained,
+    wh (M[+1], H, d+1) and wo (M[+M], H+1). Expert i is wh[i] and
+    wo[i:i+1]; every variant but plain NCL has a gate, wh[M] and wo[M:]."""
 
     variant: str
-    experts: tuple[MlpNetwork, ...]
-    gate: MlpNetwork | None
+    wh: np.ndarray
+    wo: np.ndarray
     config: TrainConfig
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if (self.gate is None) != (self.variant == "ncl"):
+        m, gated = self.config.n_experts, self.variant != "ncl"
+        if (len(self.wh), len(self.wo)) != (m + gated, m + m * gated):
             raise ValueError(f"variant {self.variant!r} and gate presence disagree")
+        # views made from here on are read-only too
+        self.wh.flags.writeable = False
+        self.wo.flags.writeable = False
 
     @property
-    def n_inputs(self) -> int:
-        return self.experts[0].n_inputs
+    def experts(self) -> tuple[MlpNetwork, ...]:
+        wh, wo = self.wh, self.wo
+        return tuple(MlpNetwork(wh[i], wo[i : i + 1]) for i in range(self.config.n_experts))
+
+    @property
+    def gate(self) -> MlpNetwork | None:
+        """None for plain NCL averaging."""
+        m = self.config.n_experts
+        return None if self.variant == "ncl" else MlpNetwork(self.wh[m], self.wo[m:])
 
 
 def _check_training_inputs(x, y, lam):
@@ -145,20 +154,6 @@ def _ensure_finite(epoch, *arrays):
     for a in arrays:
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite weights after epoch {epoch}")
-
-
-def _model(variant, cfg, wh, wo, gate=None) -> EnsembleModel:
-    """The trained model as read-only views of the stacks: expert i is
-    slice i, and a mixture's gate is slice M, unless ``gate`` (gated
-    NCL's, trained apart) is given. The arrays are frozen before any view
-    is made, because a view made earlier would stay writeable."""
-    m = cfg.n_experts
-    for a in (wh, wo) if gate is None else (wh, wo, gate.w_hidden, gate.w_out):
-        a.flags.writeable = False
-    if len(wh) > m:
-        gate = MlpNetwork(wh[m], wo[m:])
-    experts = tuple(MlpNetwork(wh[i], wo[i : i + 1]) for i in range(m))
-    return EnsembleModel(variant, experts, gate, cfg)
 
 
 def _augment(x):
@@ -184,9 +179,11 @@ def _augment(x):
 # `_fsum`, so a stacked fit is bitwise the fit of M experts updated one
 # after another.
 #
-# Gated NCL's second stage steps a stack of the gate alone (m = 0): wh
-# (1, H, d+1) and wo (M, H+1). That step skips the expert half, whose
-# empty numpy calls would still cost several per cent of a gated fit.
+# Gated NCL steps its experts' slices of the stack first, then its gate's
+# alone (m = 0): wh[M:] (1, H, d+1) and wo[M:] (M, H+1). Leading and
+# trailing slices of C-ordered stacks keep the flat reshapes below views.
+# The gate-only step skips the expert half, whose empty numpy calls would
+# still cost several per cent of a fit.
 
 
 def _fsum(values):
@@ -268,25 +265,11 @@ def _gate_backprop(gx, act, osig, resid, eta):
     return d_hid, rows
 
 
-def _train_experts(x, y, cfg, lam, mixture):
-    """Draw the stacked experts, and for a mixture the gate, and train
-    them jointly; returns the stacks wh (M[+1], H, d+1) and wo (M[+M], H+1)."""
-    m = cfg.n_experts
-    nets = [
-        init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "expert-init", i)) for i in range(m)
-    ]
-    if mixture:
-        nets.append(init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "gate-init"), n_outputs=m))
-    wh = np.stack([net.w_hidden for net in nets])
-    wo = np.concatenate([net.w_out for net in nets])
-    return _train_stack(_augment(x), y.tolist(), wh, wo, m, cfg, lam, "shuffle")
-
-
 def _train_stack(x_aug, targets, wh, wo, m, cfg, lam, stream):
     """Train a stack in place, a fresh shuffle per epoch from seed stream
-    ``stream``; returns wh and wo. The first m slices and rows are
-    experts, which all see the same pattern sequence; the rest, if any,
-    is a gate. Without a gate each expert steps on its NCL error. With
+    ``stream``. The first m slices and rows are experts, which all see
+    the same pattern sequence; the rest, if any, is a gate. Without a
+    gate each expert steps on its NCL error. With
     one, the posterior h weights each expert's penalized error and the
     gate steps toward h; ``lam`` scales the correlation terms in both.
     A gate alone (m = 0) steps toward the given per-pattern shares.
@@ -340,7 +323,28 @@ def _train_stack(x_aug, targets, wh, wo, m, cfg, lam, stream):
             wh_rows += inc
             wo_flat += rows
         _ensure_finite(epoch, wh, wo)
-    return wh, wo
+
+
+def _fit(variant, x, y, cfg, lam) -> EnsembleModel:
+    """Check the inputs, draw the fit's one stack (the experts, then the
+    gate of every variant but plain NCL) and train it in place."""
+    x, y = _check_training_inputs(x, y, lam)
+    m, d, hid = cfg.n_experts, x.shape[1], cfg.hidden
+    nets = [init_mlp(d, hid, derive(cfg.seed, "expert-init", i)) for i in range(m)]
+    if variant != "ncl":
+        nets.append(init_mlp(d, hid, derive(cfg.seed, "gate-init"), n_outputs=m))
+    wh = np.stack([net.w_hidden for net in nets])
+    wo = np.concatenate([net.w_out for net in nets])
+    x_aug = _augment(x)
+    if variant != "gated_ncl":
+        _train_stack(x_aug, y.tolist(), wh, wo, m, cfg, lam, "shuffle")
+    else:
+        _train_stack(x_aug, y.tolist(), wh[:m], wo[:m], m, cfg, lam, "shuffle")
+        # the batched forward pass gives each row bitwise its single-row outputs
+        outs = _forward(wh[:m], wo[:m, None], x_aug)
+        shares = [gncl_target(t, o).tolist() for o, t in zip(outs, y)]
+        _train_stack(x_aug, shares, wh[m:], wo[m:], 0, cfg, lam, "gate-shuffle")
+    return EnsembleModel(variant, wh, wo, cfg)
 
 
 def train_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> EnsembleModel:
@@ -351,8 +355,7 @@ def train_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> Ens
     step on its penalized error. With lam = 0 this is exactly
     independent backprop for every expert.
     """
-    x, y = _check_training_inputs(x, y, lam)
-    return _model("ncl", cfg, *_train_experts(x, y, cfg, lam, mixture=False))
+    return _fit("ncl", x, y, cfg, lam)
 
 
 def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> EnsembleModel:
@@ -362,15 +365,7 @@ def train_gated_ncl(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) 
     shares of each pattern; expert weights are left untouched, so each
     pattern's shares are computed once, before the first gate epoch.
     """
-    x, y = _check_training_inputs(x, y, lam)
-    wh, wo = _train_experts(x, y, cfg, lam, mixture=False)
-    x_aug = _augment(x)
-    # the batched forward pass gives each row bitwise its single-row outputs
-    outs = _forward(wh, wo.reshape(len(wo), 1, -1), x_aug)
-    shares = [gncl_target(t, o).tolist() for o, t in zip(outs, y)]
-    gate = init_mlp(x.shape[1], cfg.hidden, derive(cfg.seed, "gate-init"), n_outputs=cfg.n_experts)
-    _train_stack(x_aug, shares, gate.w_hidden[None], gate.w_out, 0, cfg, lam, "gate-shuffle")
-    return _model("gated_ncl", cfg, wh, wo, gate)
+    return _fit("gated_ncl", x, y, cfg, lam)
 
 
 def train_mnce(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> EnsembleModel:
@@ -381,8 +376,7 @@ def train_mnce(x: np.ndarray, y: np.ndarray, cfg: TrainConfig, lam: float) -> En
     and the gate steps toward h. ``lam`` scales the correlation terms
     in both the posterior and the expert errors.
     """
-    x, y = _check_training_inputs(x, y, lam)
-    return _model("mnce", cfg, *_train_experts(x, y, cfg, lam, mixture=True))
+    return _fit("mnce", x, y, cfg, lam)
 
 
 def train_me(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> EnsembleModel:
@@ -391,8 +385,7 @@ def train_me(x: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> EnsembleModel:
     Shares the mixture code path with lam pinned to 0.0, so the two
     coincide exactly (not just approximately) step for step.
     """
-    x, y = _check_training_inputs(x, y, 0.0)
-    return _model("me", cfg, *_train_experts(x, y, cfg, 0.0, mixture=True))
+    return _fit("me", x, y, cfg, 0.0)
 
 
 TRAINERS: dict[str, Callable[..., EnsembleModel]] = {
@@ -409,25 +402,22 @@ TRAINERS: dict[str, Callable[..., EnsembleModel]] = {
 def predict_batch(model: EnsembleModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Combined outputs and 0/1 labels; the tie O_T = 0.5 goes to 0.
 
-    One stacked pass over all rows; every row's products are the ones
-    the single-pattern forward passes make for that row alone, so each
-    output is bitwise their outputs' mean, or gate-weighted sum.
+    One pass over all rows on the model's stacks; every row's products
+    are the ones the single-pattern forward passes make for that row
+    alone, so each output is bitwise their outputs' mean, or gate-weighted sum.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.n_inputs:
-        raise ValueError(f"x must be (n, {model.n_inputs}), got shape {x.shape}")
+    m, d = model.config.n_experts, model.wh.shape[2] - 1
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"x must be (n, {d}), got shape {x.shape}")
     if not np.isfinite(x).all():
         raise DataFormatError("input contains non-finite values")
     x_aug = _augment(x)
-    outs = _forward(
-        np.stack([net.w_hidden for net in model.experts]),
-        np.stack([net.w_out for net in model.experts]),
-        x_aug,
-    )
-    if model.gate is None:
+    outs = _forward(model.wh[:m], model.wo[:m, None], x_aug)
+    if model.variant == "ncl":
         outputs = outs.mean(axis=1)
     else:
-        o_sig = _forward(model.gate.w_hidden[None], model.gate.w_out[None], x_aug)
+        o_sig = _forward(model.wh[m:], model.wo[None, m:], x_aug)
         e = np.exp(o_sig - o_sig.max(axis=1, keepdims=True))
         g = e / e.sum(axis=1, keepdims=True)
         outputs = np.matmul(outs[:, None, :], g[:, :, None])[:, 0, 0]

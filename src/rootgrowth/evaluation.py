@@ -70,8 +70,10 @@ class ClassifierSpec:
         # only another kind would use is caught too
         if not (math.isfinite(self.c) and self.c > 0):
             raise ConfigError(f"C must be finite and positive, got {self.c}", ("c",))
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}", ("sigma",))
+        sigma = self.sigma
+        # the Gaussian kernel divides by 2 sigma^2, which must be finite and non-zero
+        if sigma is not None and not (sigma > 0 and 0.0 < 2.0 * (sigma * sigma) < math.inf):
+            raise ConfigError(f"sigma must be positive, 2 sigma^2 finite and non-zero, got {sigma}", ("sigma",))
         for name in ("a", "b"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -331,10 +333,9 @@ def window_search(
         per_fold = [rates for rates, _ in raw[w_idx :: len(windows)]]
         means = {spec.label: float(np.mean([r[spec.label] for r in per_fold])) for spec in specs}
         results.append(WindowResult(window, means))
-    best: dict[str, tuple[tuple[int, int], float]] = {}
-    for spec in specs:
-        for res in results:  # window order, so ties keep the earliest start
-            err = res.errors[spec.label]
-            if spec.label not in best or err < best[spec.label][1]:
-                best[spec.label] = (res.window, err)
+    # min keeps the first minimum in window order, so ties keep the earliest start
+    best = {
+        s.label: min(((r.window, r.errors[s.label]) for r in results), key=lambda b: b[1])
+        for s in specs
+    }
     return SearchResult(tuple(results), best, sum(n for _, n in raw))

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import rootgrowth
+from rootgrowth import svm
 from rootgrowth.cli import RunConfig
 from rootgrowth.dataset import Dataset, SyntheticConfig, generate_synthetic
 from rootgrowth.ensembles import (
@@ -332,7 +333,7 @@ def test_gate_6_feature_pipeline_identities(capsys):
             assert wins == windows_loops(t, length, stride)
 
 
-def test_gate_7_end_to_end_synthetic_protocol(capsys):
+def test_gate_7_end_to_end_synthetic_protocol(capsys, monkeypatch):
     with _gate(capsys, 7, "synthetic protocol", 600.0):
         # difficulty probe: the default generator must land the
         # nearest-centroid baseline between 10% and 20% error on one
@@ -376,7 +377,27 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys):
         # per-sample intercept hides absolute position, the velocity
         # and acceleration blocks must reduce the linear SVM's error
         # on a majority of seeds; a failure names each seed's two best
-        # errors and how many fits of each search ended unconverged
+        # errors and, for each search, how many fits ended unconverged
+        # and the largest final KKT residual among its fits
+        residuals = []
+
+        def recording_train_smo(*args, **kwargs):
+            model = train_smo(*args, **kwargs)
+            residuals.append(model.kkt_residual)
+            return model
+
+        monkeypatch.setattr(svm, "train_smo", recording_train_smo)
+
+        def search(ds, seed, **blocks):
+            residuals.clear()
+            result = window_search(
+                ds, [ClassifierSpec("linear_svm")], WindowSpec(40, 1), 5, seed,
+                n_components=3, **blocks,
+            )
+            fits = 5 * len(result.windows)
+            assert len(residuals) == fits
+            return result, f"{result.unconverged}/{fits} (largest residual {max(residuals):.3g})"
+
         wins = 0
         per_seed = []
         for seed in range(5):
@@ -385,19 +406,14 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys):
                 ripple_gap=0.1, noise_sd=0.02, intercept_sd=3.0, seed=seed,
             )
             ds_j = _slice_dataset(generate_synthetic(jitter), 130, 169)
-            spec = [ClassifierSpec("linear_svm")]
-            scores_only = window_search(
-                ds_j, spec, WindowSpec(40, 1), 5, seed, n_components=3,
-                include_velocity=False, include_acceleration=False,
-            )
-            augmented = window_search(ds_j, spec, WindowSpec(40, 1), 5, seed, n_components=3)
+            scores_only, plain_fits = search(ds_j, seed, include_velocity=False, include_acceleration=False)
+            augmented, augmented_fits = search(ds_j, seed)
             plain_err = scores_only.best["Linear-SVM"][1]
             augmented_err = augmented.best["Linear-SVM"][1]
             wins += augmented_err < plain_err
-            fits = 5 * len(scores_only.windows)
             per_seed.append(
                 f"seed {seed}: error {plain_err:.4f} scores only, {augmented_err:.4f} with velocity;"
-                f" unconverged fits {scores_only.unconverged}/{fits} and {augmented.unconverged}/{fits}"
+                f" unconverged fits {plain_fits} and {augmented_fits}"
             )
         assert wins >= 3, f"velocity features won only {wins}/5 seeds: " + " | ".join(per_seed)
         with capsys.disabled():

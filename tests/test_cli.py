@@ -26,7 +26,7 @@ from rootgrowth.cli import (
 from rootgrowth.dataset import SyntheticConfig
 from rootgrowth.ensembles import TrainConfig
 from rootgrowth.errors import ConfigError
-from rootgrowth.evaluation import ClassifierSpec
+from rootgrowth.evaluation import TABLE_ORDER, ClassifierSpec
 from rootgrowth.features import FeatureLayout, WindowSpec
 
 
@@ -246,6 +246,14 @@ class TestRun:
         assert (out / "results.csv").exists()
         assert (out / "table.txt").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_clean_run_emits_no_numpy_warning(self, tmp_path):
+        # no fit or prediction of any classifier overflows, divides by zero
+        # or makes an invalid value on data that runs clean
+        every_kind = "classifiers = " + ", ".join(TABLE_ORDER)
+        cfg = write_config(tmp_path, TINY.replace("classifiers = linear_svm", every_kind))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
     def test_literal_sum_flag_recorded(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
         out = tmp_path / "res"
@@ -430,6 +438,9 @@ class TestFailFast:
             ("svm_c = 0", "svm_c"),
             ("svm_sigma = -1", "svm_sigma"),
             ("svm_sigma = nan", "svm_sigma"),
+            # sigma^2 overflows, or 2 sigma^2 rounds to 0
+            ("svm_sigma = 1e200", "svm_sigma"),
+            ("svm_sigma = 1e-170", "svm_sigma"),
             ("svm_a = nan", "svm_a"),
             ("svm_b = inf", "svm_b"),
             ("lam = -0.5", "lam"),

@@ -255,6 +255,27 @@ class TestTrainers:
                 w[0, 0] = 0.0
             assert not any(np.shares_memory(w, other) for other in second)
 
+    @pytest.mark.parametrize("variant,lam", [("ncl", 0.5), ("gated_ncl", 0.5), ("me", 0.0), ("mnce", 0.5)])
+    def test_model_is_its_fits_one_stack(self, variant, lam):
+        # every network, gated NCL's gate included, is a view of the stacks
+        # wh (M[+1], H, d+1) and wo (M[+M], H+1)
+        x, y = blob_problem(seed=17)
+        cfg = self.small_cfg(n_experts=3)
+        model = train_variant(variant, x, y, cfg, lam)
+        gated = variant != "ncl"
+        assert model.wh.shape == (3 + gated, cfg.hidden, x.shape[1] + 1)
+        assert model.wo.shape == (3 + 3 * gated, cfg.hidden + 1)
+        assert not model.wh.flags.writeable and not model.wo.flags.writeable
+        views = [(net, model.wh[i], model.wo[i : i + 1]) for i, net in enumerate(model.experts)]
+        assert len(views) == 3
+        if gated:
+            views.append((model.gate, model.wh[3], model.wo[3:]))
+        else:
+            assert model.gate is None
+        for net, wh, wo in views:
+            assert np.shares_memory(net.w_hidden, model.wh) and np.array_equal(net.w_hidden, wh)
+            assert np.shares_memory(net.w_out, model.wo) and np.array_equal(net.w_out, wo)
+
     def test_deterministic(self):
         x, y = blob_problem(seed=6)
         cfg = self.small_cfg()
@@ -483,4 +504,4 @@ class TestPrediction:
         x, y = blob_problem(seed=14)
         model = train_ncl(x, y, TrainConfig(n_experts=2, hidden=2, epochs=2, seed=15), 0.0)
         with pytest.raises(ValueError, match="gate"):
-            EnsembleModel("mnce", model.experts, None, model.config)
+            EnsembleModel("mnce", model.wh, model.wo, model.config)
