@@ -13,7 +13,8 @@ projects each sample through the fold's PCA in its own product, so it
 holds one fold's scores at a time, and a sample's scores do not depend
 on which other samples are projected with it. A unit assembles its
 training rows and its test rows apart, from those samples' scores
-alone, and holds one fitted model at a time. With n_jobs > 1 and more
+alone, hands its SVM fits one product ``x_train @ x_train.T`` to share,
+and holds one fitted model at a time. With n_jobs > 1 and more
 than one unit the units run in a process pool of at most one worker
 per unit, which returns results in unit order like the serial loop,
 so the output is identical to the serial run byte for byte, and when
@@ -70,14 +71,9 @@ class ClassifierSpec:
         # only another kind would use is caught too
         if not (math.isfinite(self.c) and self.c > 0):
             raise ConfigError(f"C must be finite and positive, got {self.c}", ("c",))
-        sigma = self.sigma
-        # the Gaussian kernel divides by 2 sigma^2, which must be finite and non-zero
-        if sigma is not None and not (sigma > 0 and 0.0 < 2.0 * (sigma * sigma) < math.inf):
-            raise ConfigError(f"sigma must be positive, 2 sigma^2 finite and non-zero, got {sigma}", ("sigma",))
-        for name in ("a", "b"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}", (name,))
+        # a kernel spec states the rules for sigma, a and b, and checks
+        # all three whatever its kind
+        svm.KernelSpec("gaussian", self.sigma, self.a, self.b)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}", ("lam",))
 
@@ -87,9 +83,13 @@ class ClassifierSpec:
 
 
 def fit_classifier(
-    spec: ClassifierSpec, x: np.ndarray, y_unit: np.ndarray, seed: int
+    spec: ClassifierSpec, x: np.ndarray, y_unit: np.ndarray, seed: int, *, inner: np.ndarray | None = None
 ) -> svm.SvmModel | ensembles.EnsembleModel:
-    """Train one classifier on unit-labeled rows; all randomness from seed."""
+    """Train one classifier on unit-labeled rows; all randomness from seed.
+
+    ``inner`` is ``x @ x.T``, for a caller that fits several SVMs on the
+    same rows; ensembles do not read it.
+    """
     x = np.asarray(x, dtype=np.float64)
     y_unit = np.asarray(y_unit, dtype=np.int64).ravel()
     if spec.kind in SVM_KINDS:
@@ -99,7 +99,7 @@ def fit_classifier(
             kernel = svm.KernelSpec("gaussian", sigma=spec.sigma)
         else:
             kernel = svm.KernelSpec("sigmoid", a=spec.a, b=spec.b)
-        return svm.train_smo(x, 2 * y_unit - 1, kernel, c=spec.c)
+        return svm.train_smo(x, 2 * y_unit - 1, kernel, c=spec.c, inner=inner)
     cfg = replace(spec.train, seed=seed)
     if spec.kind == "me":
         return ensembles.train_me(x, y_unit, cfg)
@@ -250,10 +250,15 @@ def _evaluate_unit(unit: tuple[int, int]):
     scores = ctx["scores"]
     x_train = features.assemble(scores[train_idx, start : end + 1], *ctx["blocks"])
     x_test = features.assemble(scores[test_idx, start : end + 1], *ctx["blocks"])
+    # the unit's SVM fits share one product of its training rows
+    inner = None
+    if any(spec.kind in SVM_KINDS for spec in ctx["specs"]):
+        inner = x_train @ x_train.T
+        inner.flags.writeable = False
     for spec in ctx["specs"]:
         fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
         try:
-            fitted = fit_classifier(spec, x_train, labels[train_idx], fit_seed)
+            fitted = fit_classifier(spec, x_train, labels[train_idx], fit_seed, inner=inner)
             preds = predict_labels(fitted, x_test)
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"window {window}, fold {fold_idx}: {exc}") from None

@@ -12,8 +12,9 @@ diagonal is exactly 1.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +33,9 @@ class KernelSpec:
 
     ``sigma=None`` (Gaussian) and ``a=None`` (sigmoid) mean "resolve
     from the training data": the median pairwise distance and 1/d
-    respectively. `resolve` fills them in, as the Grams need.
+    respectively. `resolve` fills them in, as the Grams need. A given
+    sigma must be positive with 2 sigma^2 finite and non-zero, and a
+    and b finite; a width resolved from data keeps the data's errors.
     """
 
     kind: str
@@ -43,8 +46,16 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        # every parameter is checked whatever the kind reads, so a value
+        # that only another kind would use is caught too
+        sigma = self.sigma
+        # the Gaussian kernel divides by 2 sigma^2, which must be finite and non-zero
+        if sigma is not None and not (sigma > 0 and 0.0 < 2.0 * (sigma * sigma) < math.inf):
+            raise ConfigError(f"sigma must be positive, 2 sigma^2 finite and non-zero, got {sigma}", ("sigma",))
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}", (name,))
 
 
 def default_sigmoid_a(n_coords: int) -> float:
@@ -54,16 +65,20 @@ def default_sigmoid_a(n_coords: int) -> float:
     return 1.0 / n_coords
 
 
-def median_pairwise_distance(x: np.ndarray, inner: np.ndarray | None = None) -> float:
+def median_pairwise_distance(
+    x: np.ndarray, inner: np.ndarray | None = None, sq: np.ndarray | None = None
+) -> float:
     """Median Euclidean distance over distinct point pairs.
 
-    ``inner`` is ``x @ x.T``, for a caller that has it already.
+    ``inner`` is ``x @ x.T`` and ``sq`` is ``_sq_row_norms(x)``, for a
+    caller that has them already.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points for a pairwise median")
-    sq = _sq_row_norms(x)
+    if sq is None:
+        sq = _sq_row_norms(x)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T if inner is None else inner)
     dist = np.sort(np.sqrt(np.maximum(d2[_upper_pairs(n)], 0.0)))
     # np.median without its NaN check, which imports numpy.ma: the mean of
@@ -113,17 +128,26 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def resolve(spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None) -> KernelSpec:
+def resolve(
+    spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None, sq: np.ndarray | None = None
+) -> KernelSpec:
     """Fill data-dependent defaults (Gaussian sigma, sigmoid slope).
 
-    ``inner`` is ``x @ x.T``, for a caller that has it already.
+    ``inner`` is ``x @ x.T`` and ``sq`` is ``_sq_row_norms(x)``, for a
+    caller that has them already. The filled values skip `KernelSpec`'s
+    parameter checks, so a width from the data fails, if it does, with
+    the data's errors and not as a config value.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = spec
-    if out.kind == "gaussian" and out.sigma is None:
-        out = replace(out, sigma=median_pairwise_distance(x, inner))
-    if out.kind == "sigmoid" and out.a is None:
-        out = replace(out, a=default_sigmoid_a(x.shape[1]))
+    filled = {}
+    if spec.kind == "gaussian" and spec.sigma is None:
+        filled["sigma"] = median_pairwise_distance(x, inner, sq)
+    if spec.kind == "sigmoid" and spec.a is None:
+        filled["a"] = default_sigmoid_a(x.shape[1])
+    if not filled:
+        return spec
+    out = copy.copy(spec)  # a copy does not run __post_init__
+    out.__dict__.update(filled)
     return out
 
 
@@ -141,16 +165,24 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None
     return _kernel(spec, _mirrored(x @ x.T if inner is None else inner), _sq_distances)
 
 
-def cross_gram(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Kernel values K(x_i, z_j) as an (n, m) matrix."""
+def cross_gram(spec: KernelSpec, x: np.ndarray, z: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+    """Kernel values K(x_i, z_j) as an (n, m) matrix.
+
+    ``sq`` is ``_sq_row_norms(x)``, for a caller that has it already;
+    only the Gaussian kernel reads it.
+    """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if x.ndim != 2 or z.ndim != 2 or x.shape[1] != z.shape[1]:
         raise ValueError(f"incompatible shapes {x.shape} and {z.shape}")
+    if sq is not None and np.shape(sq) != (x.shape[0],):
+        raise ValueError(f"sq must hold one norm per row of x, got shape {np.shape(sq)}")
     return _kernel(
         spec,
         x @ z.T,
-        lambda g: np.maximum(_sq_row_norms(x)[:, None] + _sq_row_norms(z)[None, :] - 2.0 * g, 0.0),
+        lambda g: np.maximum(
+            (_sq_row_norms(x) if sq is None else sq)[:, None] + _sq_row_norms(z)[None, :] - 2.0 * g, 0.0
+        ),
     )
 
 
@@ -183,7 +215,10 @@ class SvmModel:
 
     ``coef[i]`` is alpha_i * y_i for the i-th stored support vector;
     only vectors with alpha > 0 are kept. ``kkt_residual`` is the
-    largest KKT violation at the end of training.
+    largest KKT violation at the end of training. ``sq_norms`` holds
+    the support vectors' squared norms (`_sq_row_norms`), one each,
+    where the fit kept them for predictions (a Gaussian fit does), and
+    is None otherwise.
     """
 
     support_vectors: np.ndarray
@@ -192,6 +227,7 @@ class SvmModel:
     kernel: KernelSpec
     c: float
     kkt_residual: float
+    sq_norms: np.ndarray | None = None
 
     def __post_init__(self):
         sv = np.asarray(self.support_vectors, dtype=np.float64)
@@ -202,10 +238,14 @@ class SvmModel:
             raise ValueError("coefficient outside [0, C]")
         if abs(coef.sum()) > 1e-8 * max(1.0, self.c):
             raise ValueError("coefficients do not satisfy the equality constraint")
-        for arr in (sv, coef):
+        arrays = {"support_vectors": sv, "coef": coef}
+        if self.sq_norms is not None:
+            arrays["sq_norms"] = np.asarray(self.sq_norms, dtype=np.float64)
+            if arrays["sq_norms"].shape != coef.shape:
+                raise ValueError("support vectors and their norms do not line up")
+        for name, arr in arrays.items():
             arr.flags.writeable = False
-        object.__setattr__(self, "support_vectors", sv)
-        object.__setattr__(self, "coef", coef)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_support(self) -> int:
@@ -219,6 +259,8 @@ def train_smo(
     c: float = 1.0,
     tol: float = SMO_TOL,
     max_passes: int = 100,
+    *,
+    inner: np.ndarray | None = None,
 ) -> SvmModel:
     """Solve the dual by sequential minimal optimization.
 
@@ -228,6 +270,16 @@ def train_smo(
     ``tol``, the KKT residual is measured; training stops once it is
     within ``tol`` too, or after ``max_passes * n`` updates. No step
     draws a random number.
+
+    ``inner`` is ``x @ x.T``, for a caller that fits several kernels on
+    the same rows; it is read, never written, and must be (n, n). A
+    Gaussian fit squares the rows of x once, for its width and for the
+    model, which keeps its support vectors' norms as ``sq_norms``:
+    ``_sq_row_norms(x)[keep]``. On C-ordered rows these are bit for bit
+    the support vectors' norms squared afresh. On other layouts they
+    keep x's summation order (left to right across an F-ordered row),
+    so a prediction can differ in its last bits from one that squares
+    the support vectors afresh.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -242,9 +294,12 @@ def train_smo(
         raise DataFormatError("training data contains non-finite values")
     if c <= 0 or tol <= 0 or max_passes < 1:
         raise ConfigError("need C > 0, tol > 0, max_passes >= 1")
+    inner = x @ x.T if inner is None else np.asarray(inner, dtype=np.float64)
+    if inner.shape != (n, n):
+        raise ValueError(f"inner must be x @ x.T, of shape {(n, n)}, got {inner.shape}")
 
-    inner = x @ x.T
-    kernel = resolve(kernel, x, inner)
+    sq = _sq_row_norms(x) if kernel.kind == "gaussian" else None
+    kernel = resolve(kernel, x, inner, sq)
     k = gram_matrix(kernel, x, inner)
     if not np.isfinite(k).all():
         raise NumericError(
@@ -284,6 +339,7 @@ def train_smo(
         kernel=kernel,
         c=c,
         kkt_residual=residual,
+        sq_norms=None if sq is None else sq[keep],
     )
 
 
@@ -411,7 +467,11 @@ def _worst_violator(alpha, u, y, bias, c) -> float:
 
 
 def decision_function(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    """f(x) = sum_i coef_i K(sv_i, x) + b for each row of x (n, d)."""
+    """f(x) = sum_i coef_i K(sv_i, x) + b for each row of x (n, d).
+
+    The model's kept support-vector norms, if any, go to `cross_gram`,
+    so a Gaussian prediction squares only the rows of x.
+    """
     if model.n_support == 0:
         return np.full(x.shape[0], model.bias)
-    return model.coef @ cross_gram(model.kernel, model.support_vectors, x) + model.bias
+    return model.coef @ cross_gram(model.kernel, model.support_vectors, x, model.sq_norms) + model.bias

@@ -442,10 +442,10 @@ class TestFoldMajorOrder:
         failing = {derive(0, "window", start, "fit", fold, "linear_svm") for start, fold in ((0, 1), (6, 0))}
         fit = evaluation.fit_classifier
 
-        def fit_or_fail(spec, x, y_unit, seed):
+        def fit_or_fail(spec, x, y_unit, seed, *, inner=None):
             if seed in failing:
                 raise ValueError("chosen failure")
-            return fit(spec, x, y_unit, seed)
+            return fit(spec, x, y_unit, seed, inner=inner)
 
         monkeypatch.setattr(evaluation, "fit_classifier", fit_or_fail)
         ds = toy_dataset()
@@ -509,9 +509,9 @@ class TestUnitWorkingSet:
         fit = evaluation.fit_classifier
         predict = evaluation.predict_labels
 
-        def fit_recorded(spec, x, y_unit, fit_seed):
+        def fit_recorded(spec, x, y_unit, fit_seed, *, inner=None):
             seen.append([fit_seed, np.array(x), None])
-            return fit(spec, x, y_unit, fit_seed)
+            return fit(spec, x, y_unit, fit_seed, inner=inner)
 
         def predict_recorded(model, x):
             seen[-1][2] = np.array(x)
@@ -545,15 +545,33 @@ class TestUnitWorkingSet:
         previous = []  # weak references to the models fit so far
         fit = evaluation.fit_classifier
 
-        def fit_checked(spec, x, y_unit, fit_seed):
+        def fit_checked(spec, x, y_unit, fit_seed, *, inner=None):
             assert all(ref() is None for ref in previous), "a previous model is still alive"
-            model = fit(spec, x, y_unit, fit_seed)
+            model = fit(spec, x, y_unit, fit_seed, inner=inner)
             previous.append(weakref.ref(model))
             return model
 
         monkeypatch.setattr(evaluation, "fit_classifier", fit_checked)
         window_search(toy_dataset(), self.SPECS, WindowSpec(5, 3), 2, 0, n_components=2)
         assert len(previous) == 2 * 3 * len(self.SPECS)
+
+    def test_svm_fits_of_a_unit_share_one_inner_product(self, monkeypatch):
+        seen = []  # (kernel kind, training rows, inner) per SVM fit
+        train = svm.train_smo
+
+        def recorded(x, y, kernel, *args, **kwargs):
+            seen.append((kernel.kind, np.array(x), kwargs.get("inner")))
+            return train(x, y, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(svm, "train_smo", recorded)
+        specs = [ClassifierSpec("linear_svm"), ClassifierSpec("gaussian_svm")]
+        window_search(toy_dataset(), specs, WindowSpec(5, 3), 2, 0, n_components=2)
+        assert len(seen) == 2 * 3 * len(specs)
+        for (kind_a, x_a, inner_a), (kind_b, x_b, inner_b) in zip(seen[::2], seen[1::2]):
+            assert (kind_a, kind_b) == ("linear", "gaussian")
+            assert inner_a is not None and inner_a is inner_b
+            assert np.array_equal(x_a.view(np.int64), x_b.view(np.int64))
+            assert np.array_equal(inner_a.view(np.int64), (x_a @ x_a.T).view(np.int64))
 
     def test_peak_memory_of_svm_units(self):
         # a paper-shape pairing with linear and Gaussian SVMs: 1.25x the

@@ -38,6 +38,32 @@ class TestKernelSpec:
         with pytest.raises(ConfigError, match="sigma"):
             KernelSpec("gaussian", sigma=-1.0)
 
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("sigma", 1e200),  # sigma^2 overflows
+            ("sigma", 9.6e153),  # 2 sigma^2 overflows
+            ("sigma", 1e-170),  # 2 sigma^2 rounds to 0
+            ("a", math.nan),
+            ("b", math.inf),
+        ],
+    )
+    def test_parameters_checked_whatever_the_kind(self, kind, field, value):
+        x = np.random.default_rng(6).standard_normal((6, 3))
+        y = np.array([1.0, -1.0] * 3)
+        with pytest.raises(ConfigError, match=f"^{field} must") as exc:
+            train_smo(x, y, KernelSpec(kind, **{field: value}))
+        assert exc.value.fields == (field,)
+
+    def test_width_from_data_is_not_a_config_value(self):
+        # a median distance whose 2 sigma^2 overflows is the data's width,
+        # not a config value, so resolving it raises no ConfigError
+        x = np.array([[-6e153], [6e153]])
+        spec = resolve(KernelSpec("gaussian"), x)
+        assert spec.sigma == median_pairwise_distance(x)
+        assert 2.0 * (spec.sigma * spec.sigma) == math.inf
+
     def test_default_slope(self):
         assert default_sigmoid_a(4) == 0.25
         spec = resolve(KernelSpec("sigmoid"), np.zeros((3, 8)))
@@ -281,6 +307,65 @@ def assert_same_fit(a, b, where=""):
     assert np.array_equal(a.support_vectors, b.support_vectors), where
     assert a.bias == b.bias, where
     assert a.kkt_residual == b.kkt_residual, where
+
+
+class TestKernelWorkFromTheCaller:
+    """`train_smo` given its rows' ``x @ x.T``, and the support-vector
+    norms a Gaussian model keeps for its predictions."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_given_inner_gives_the_same_model(self, kind, layout):
+        rng = np.random.default_rng(22)
+        for n, d in ((16, 171), (17, 3510)):
+            x = layouts(n, d, rng)[layout]
+            y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+            y[:2] = (1.0, -1.0)
+            want = train_smo(x, y, KernelSpec(kind))
+            got = train_smo(x, y, KernelSpec(kind), inner=x @ x.T)
+            assert np.array_equal(bits(got.support_vectors), bits(want.support_vectors))
+            assert np.array_equal(bits(got.coef), bits(want.coef))
+            assert bits(got.bias) == bits(want.bias)
+            assert got.kernel == want.kernel
+            assert bits(got.kkt_residual) == bits(want.kkt_residual)
+            if kind == "gaussian":
+                assert np.array_equal(bits(got.sq_norms), bits(want.sq_norms))
+            else:
+                assert got.sq_norms is None and want.sq_norms is None
+
+    def test_inner_of_the_wrong_shape(self):
+        x = np.random.default_rng(23).standard_normal((6, 3))
+        y = np.array([1.0, -1.0] * 3)
+        for inner in ((x @ x.T)[:-1], np.zeros((7, 7)), np.zeros(36), x):
+            with pytest.raises(ValueError, match="inner must be x @ x.T"):
+                train_smo(x, y, KernelSpec("linear"), inner=inner)
+
+    def test_input_checks_hold_with_inner(self):
+        x = np.zeros((4, 2))
+        y = np.array([-1.0, 1.0, -1.0, 1.0])
+        inner = x @ x.T
+        with pytest.raises(ValueError, match="-1/\\+1"):
+            train_smo(x, np.array([0.0, 1.0, 0.0, 1.0]), KernelSpec("linear"), inner=inner)
+        with pytest.raises(ConfigError):
+            train_smo(x, y, KernelSpec("linear"), c=0.0, inner=inner)
+        bad = x.copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(DataFormatError, match="non-finite"):
+            train_smo(bad, y, KernelSpec("linear"), inner=inner)
+
+    @pytest.mark.parametrize("width", [None, 0.5])  # resolved, or given as a share of the median
+    def test_gaussian_prediction_keeps_its_bits(self, width):
+        rng = np.random.default_rng(24)
+        for n, m, d in ((16, 4, 3510), (17, 5, 9000), (40, 3, 171)):
+            x = layouts(n, d, rng)["C"]
+            z = layouts(m, d, rng)["C"]
+            y = np.array([1.0, -1.0] * (n // 2) + [1.0] * (n % 2))
+            sigma = None if width is None else width * median_pairwise_distance(x)
+            model = train_smo(x, y, KernelSpec("gaussian", sigma=sigma))
+            assert model.sq_norms.shape == (model.n_support,)
+            assert not model.sq_norms.flags.writeable
+            want = model.coef @ cross_gram(model.kernel, model.support_vectors, z) + model.bias
+            assert np.array_equal(bits(decision_function(model, z)), bits(want))
 
 
 class TestSmoMatchesReference:
