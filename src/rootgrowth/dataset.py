@@ -3,13 +3,14 @@
 A dataset holds the frame coordinates of n tracked objects as one
 (n, T, d) array, with each object's id, group tag and 0/1 label
 alongside; both classes are present. Files use one CSV row per frame
-and a small key=value manifest next to the CSV.
+and a small key=value manifest next to the CSV. `load_csv` reads a
+plain file in one streaming pass through numpy's reader, and any other
+file record by record with `csv` and `float()`.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
 import warnings
@@ -140,21 +141,23 @@ def load_csv(path: str | os.PathLike) -> Dataset:
     and d, numeric parse of every value, and presence of both classes.
     Fields follow `csv` quoting, values parse as Python `float`, and the
     first bad line in file order is the one reported.
+
+    A plain file (no quote and none of U+001C..U+001F in any record) is
+    read in one streaming pass through numpy's reader. Any other file,
+    and any file that breaks a rule or holds a value numpy refuses, is
+    read record by record with `csv` and `float()`, which reports its
+    first bad record.
     """
     try:
-        loaded = _load_block(path, _parse_block)
+        loaded = _load_plain(path)
         if loaded is None:
-            loaded = _load_block(path, _parse_rows)
+            loaded = _load_exact(path)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     block, starts = loaded
     if not starts:
         raise DataFormatError(f"{path}: no data rows")
     ids, tags, labels, firsts = zip(*starts)
-    counts = np.diff(firsts + (len(block),)).tolist()
-    for sid, count in zip(ids, counts):
-        if count < 3:
-            raise DataFormatError(f"sample {sid!r}: need at least 3 frames, got {count}")
     if list(ids) != sorted(ids):
         raise DataFormatError(f"{path}: rows are not sorted by sample_id")
     pairing = None
@@ -168,6 +171,7 @@ def load_csv(path: str | os.PathLike) -> Dataset:
                     f"{manifest}: wild_tag and mutated_tag must be two distinct non-empty tags, got {pairing}"
                 )
     d = block.shape[1]
+    counts = np.diff(firsts + (len(block),)).tolist()
     for sid, count in zip(ids, counts):
         if count != counts[0]:
             raise DataFormatError(
@@ -177,138 +181,132 @@ def load_csv(path: str | os.PathLike) -> Dataset:
     return Dataset(block.reshape(len(ids), counts[0], d), ids, tags, labels, pairing=pairing)
 
 
-def _load_block(path, parse) -> tuple[np.ndarray, list[tuple[str, str, int, int]]] | None:
-    """Scan the file once, with ``parse`` turning coordinate text into rows.
-
-    Returns the (rows, d) block and, per sample, its id, tag, label and
-    first row; None when ``parse`` refuses text that `float()` may accept.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = iter(fh)
-        try:
-            header = next(csv.reader(lines))
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}:1: {exc}") from None
-        _check_header(path, header)
-        scan = _Scan(path, len(header))
-        d = len(header) - 4
-        block = parse(path, scan.coordinates(lines), d)
-    if block is None or block.shape != (scan.rows, d):
-        return None
-    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-    if bad.size:
-        raise DataFormatError(f"{path}:{bad[0] + 2}: non-finite coordinate value")
-    if scan.error is not None:
-        raise scan.error
-    return block, scan.starts
-
-
 # Characters that csv or float() read differently from numpy's reader: a
 # quote, and U+001C..U+001F, which numpy strips as whitespace and float()
-# refuses. A line holding one goes through csv and float() alone.
-_CSV_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+# refuses. A record holding one is not plain.
+_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-class _Scan:
-    """One pass over the data records: field count and the identity checks.
+class _NotPlain(ValueError):
+    """Raised inside numpy's reader to give up the plain pass."""
 
-    `coordinates` yields each record's coordinate text, one comma-joined
-    line per data row, and notes where each sample starts. At the first
-    bad record it keeps the error and stops, so the parser has already
-    seen every earlier row and a bad value there is reported first.
+
+def _load_plain(path) -> tuple[np.ndarray, list] | None:
+    """Every record's coordinates in one `np.loadtxt` call.
+
+    Returns the (rows, d) block and `_Identity.starts`, or None, for
+    `_load_exact` to decide, as soon as a record is not plain, breaks a
+    rule or holds a value numpy refuses, and when a value is not finite.
+    A wrong field count shows as a row numpy refuses or as a block of
+    the wrong shape.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        d = _read_header(path, fh)
+        samples = _Identity(path)
+
+        def coordinates():
+            for lineno, line in enumerate(fh, start=2):
+                if any(c in line for c in _NOT_PLAIN):
+                    raise _NotPlain
+                sid, tag, token, idx_text, text = line.rstrip("\r\n").split(",", 4)
+                samples.check(lineno, sid, tag, token, idx_text)
+                yield text
+            samples.finish()
+
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy's refusals, a record of under 5 fields, _NotPlain, a
+            # DataFormatError and undecodable bytes are all ValueErrors
+            try:
+                block = np.loadtxt(coordinates(), delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                return None
+    if block.shape != (samples.rows, d) or not np.isfinite(block).all():
+        return None
+    return block, samples.starts
+
+
+def _load_exact(path) -> tuple[np.ndarray, list]:
+    """Every record through `csv.reader` and every value through `float()`,
+    in file order, so the first bad record is the one reported."""
+    from array import array  # here, so that a plain load maps no extra module
+
+    values = array("d")
+    with open(path, newline="", encoding="utf-8") as fh:
+        d = _read_header(path, fh)
+        samples = _Identity(path)
+        lineno = 1
+        try:
+            for lineno, fields in enumerate(csv.reader(fh), start=2):
+                if len(fields) != d + 4:
+                    raise DataFormatError(f"{path}:{lineno}: expected {d + 4} fields, got {len(fields)}")
+                samples.check(lineno, *fields[:4])
+                try:
+                    row = [float(v) for v in fields[4:]]
+                except ValueError:
+                    raise DataFormatError(f"{path}:{lineno}: non-numeric coordinate value") from None
+                if not all(map(math.isfinite, row)):
+                    raise DataFormatError(f"{path}:{lineno}: non-finite coordinate value")
+                values.extend(row)
+        except csv.Error as exc:  # e.g. a field over csv's size limit, raised before its record is numbered
+            raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from None
+        samples.finish()
+    return np.frombuffer(values).reshape(-1, d), samples.starts
+
+
+def _read_header(path, fh) -> int:
+    """Read and check the header record; return the coordinate count d."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:1: {exc}") from None
+    _check_header(path, header)
+    return len(header) - 4
+
+
+class _Identity:
+    """The rules on a data record's sample_id, group_tag, label and
+    frame_index, checked one record at a time in file order.
+
+    ``starts`` holds each sample's id, tag, label and first row, and
+    ``rows`` counts the records checked. A sample of under 3 frames is
+    reported when the next sample begins, or at `finish`.
     """
 
-    def __init__(self, path, width: int):
+    def __init__(self, path):
         self.path = path
-        self.width = width
         self.rows = 0
         self.starts: list[tuple[str, str, int, int]] = []
-        self.error: DataFormatError | None = None
+        self._seen: set[str] = set()
+        self._current = (None, None, None)  # id, tag and label token
+        self._count = 0
 
-    def coordinates(self, lines):
-        try:
-            yield from self._records(lines)
-        except DataFormatError as exc:
-            self.error = exc
+    def check(self, lineno: int, sid: str, tag: str, token: str, idx_text: str) -> None:
+        path = self.path
+        if sid != self._current[0]:
+            self.finish()
+            if sid in self._seen:
+                raise DataFormatError(f"{path}:{lineno}: rows for sample {sid!r} are not contiguous")
+            if token not in LABELS:
+                raise DataFormatError(f"unknown label token {token!r}")
+            self._seen.add(sid)
+            self.starts.append((sid, tag, LABELS.index(token), self.rows))
+            self._current, self._count = (sid, tag, token), 0
+        elif (sid, tag, token) != self._current:
+            raise DataFormatError(f"{path}:{lineno}: sample {sid!r} changes group_tag or label mid-file")
+        if idx_text != str(self._count):
+            raise DataFormatError(
+                f"{path}:{lineno}: frame_index {idx_text!r} out of order (expected {self._count})"
+            )
+        self._count += 1
+        self.rows += 1
 
-    def _records(self, lines):
-        path, width = self.path, self.width
-        seen: set[str] = set()
-        cur_id = cur_tag = cur_token = None
-        count = 0
-        for lineno, line in enumerate(lines, start=2):
-            via_csv = any(c in line for c in _CSV_ONLY)
-            if via_csv:
-                try:
-                    fields = next(csv.reader(itertools.chain([line], lines)))
-                except csv.Error as exc:  # e.g. a field over csv's size limit
-                    raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-                n_fields = len(fields)
-            else:
-                text = line.rstrip("\r\n")
-                n_fields = text.count(",") + 1 if text else 0
-                fields = text.split(",", 4)
-            if n_fields != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {width} fields, got {n_fields}"
-                )
-            sid, tag, token, idx_text = fields[:4]
-            if sid != cur_id:
-                if cur_id is not None and count < 3:
-                    return  # load_csv reports "need at least 3 frames"
-                if sid in seen:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: rows for sample {sid!r} are not contiguous"
-                    )
-                if token not in LABELS:
-                    raise DataFormatError(f"unknown label token {token!r}")
-                seen.add(sid)
-                self.starts.append((sid, tag, LABELS.index(token), self.rows))
-                cur_id, cur_tag, cur_token, count = sid, tag, token, 0
-            elif tag != cur_tag or token != cur_token:
-                raise DataFormatError(
-                    f"{path}:{lineno}: sample {sid!r} changes group_tag or label mid-file"
-                )
-            if idx_text != str(count):
-                raise DataFormatError(
-                    f"{path}:{lineno}: frame_index {idx_text!r} out of order "
-                    f"(expected {count})"
-                )
-            if via_csv:
-                # parsed here; repr text reads back to the same bits
-                yield ",".join(map(repr, _values(path, lineno, fields[4:])))
-            else:
-                yield fields[4]
-            count += 1
-            self.rows += 1
-
-
-def _parse_block(path, texts, d: int) -> np.ndarray | None:
-    """All rows at once with numpy's reader; None where it refuses the text."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            return np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-
-
-def _parse_rows(path, texts, d: int) -> np.ndarray:
-    """Row by row with `float()`: decides wherever `_parse_block` refuses."""
-    rows = [_values(path, lineno, text.split(",")) for lineno, text in enumerate(texts, start=2)]
-    return np.array(rows, dtype=np.float64).reshape(-1, d)
-
-
-def _values(path, lineno: int, fields: list[str]) -> list[float]:
-    try:
-        values = [float(v) for v in fields]
-    except ValueError:
-        raise DataFormatError(f"{path}:{lineno}: non-numeric coordinate value") from None
-    if not all(math.isfinite(v) for v in values):
-        raise DataFormatError(f"{path}:{lineno}: non-finite coordinate value")
-    return values
+    def finish(self) -> None:
+        """Check the frame count of the sample that the last record ended."""
+        if self.starts and self._count < 3:
+            raise DataFormatError(f"sample {self._current[0]!r}: need at least 3 frames, got {self._count}")
 
 
 def _check_header(path, header: list[str]) -> None:

@@ -300,6 +300,12 @@ def train_smo(
 
     sq = _sq_row_norms(x) if kernel.kind == "gaussian" else None
     kernel = resolve(kernel, x, inner, sq)
+    if kernel.kind == "gaussian" and 2.0 * (kernel.sigma * kernel.sigma) == math.inf:
+        # the Gram would be all ones: every decision value 0, with no error
+        raise NumericError(
+            f"gaussian kernel width {kernel.sigma:.3g} overflows 2 sigma^2 "
+            f"(training data up to {np.abs(x).max():.3g} in magnitude)"
+        )
     k = gram_matrix(kernel, x, inner)
     if not np.isfinite(k).all():
         raise NumericError(

@@ -11,6 +11,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rootgrowth
@@ -23,7 +24,7 @@ from rootgrowth.cli import (
     parse_config_file,
     render_table,
 )
-from rootgrowth.dataset import SyntheticConfig
+from rootgrowth.dataset import LABELS, Dataset, SyntheticConfig, write_csv
 from rootgrowth.ensembles import TrainConfig
 from rootgrowth.errors import ConfigError
 from rootgrowth.evaluation import TABLE_ORDER, ClassifierSpec
@@ -758,6 +759,24 @@ class TestExitCodes:
         ))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
         assert capsys.readouterr().err.startswith("error: window-search: fold 0: PCA variances overflow")
+        assert not (tmp_path / "r").exists()
+
+    def test_overflowing_kernel_width_exits_3(self, tmp_path, capsys):
+        # every other sample scaled to about 1e153: a training fold's median
+        # distance is finite, but the Gaussian kernel's 2 sigma^2 overflows
+        rng = np.random.default_rng(1)
+        frames = np.stack([rng.standard_normal((6, 2)) * (1.5e153 if i % 2 == 0 else 1.0) for i in range(8)])
+        labels = [0] * 4 + [1] * 4
+        data = tmp_path / "tracks.csv"
+        write_csv(Dataset(frames, [f"s{i}" for i in range(8)], [LABELS[c] for c in labels], labels), data)
+        cfg = write_config(tmp_path, (
+            f"dataset = {data}\npairings = wild:mutated\npca_components = 1\nwindow_length = 6\n"
+            "folds = 2\nclassifiers = gaussian_svm\n"
+        ))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert re.match(r"error: window-search: window \(0, 5\), fold \d: gaussian kernel width .* overflows", err)
         assert not (tmp_path / "r").exists()
 
     def test_results_not_utf8_is_data_error(self, tmp_path, capsys):

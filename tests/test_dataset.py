@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rootgrowth import dataset
 from rootgrowth.dataset import (
     LABELS,
     Dataset,
@@ -198,6 +199,11 @@ def a_renamed(sid):
     return "".join((sid + line[1:] if line.startswith("a,") else line) + "\n" for line in GOOD)
 
 
+def quote_all(text):
+    """``text`` with every field of every line quoted; no field may hold a comma."""
+    return "".join(",".join(f'"{field}"' for field in line.split(",")) + "\n" for line in text.splitlines())
+
+
 # (id, file text, fragment of the error message or None when the file loads)
 LOADER_CASES = [
     ("valid", lines_with(), None),
@@ -266,6 +272,10 @@ LOADER_CASES = [
      "tracks.csv:3: non-numeric coordinate value"),
     ("nan-before-quoted-error", lines_with(l3="a,wt,wild,1,nan,1.5", l6='b,mut,mutated,1,"x",3.5'),
      "tracks.csv:3: non-finite coordinate value"),
+    # every field of every record quoted: the exact pass reads the whole file
+    ("quoted-all", quote_all(lines_with()), None),
+    # the plain pass gives up at the last record, after numpy has read the rest
+    ("not-plain-last-record", lines_with(l7='b,mut,mutated,2,"2.0",4.0'), None),
     ("single-column-empty-value", "sample_id,group_tag,label,frame_index,v0\n" + "".join(
         f"{sid},{tag},{label},{i},{'' if (sid, i) == ('b', 1) else i}\n"
         for sid, tag, label in (("a", "wt", "wild"), ("b", "mut", "mutated")) for i in range(3)),
@@ -313,13 +323,68 @@ class TestLoaderMatchesReference:
         with pytest.raises(DataFormatError, match=r"tracks\.csv:1: field larger than field limit"):
             load_csv(path)
 
+    def test_record_field_over_size_limit_is_a_data_error(self, tmp_path):
+        # the reference lets csv's own error through, so this is no loader case
+        path = tmp_path / "tracks.csv"
+        path.write_text(lines_with(l5='"' + "b" * 140_000 + '",mut,mutated,0,2.5,3.0'))
+        with pytest.raises(DataFormatError, match=r"tracks\.csv:5: field larger than field limit"):
+            load_csv(path)
+
+    def test_plain_file_is_read_once_by_numpy(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        path = tmp_path / "tracks.csv"
+        path.write_text(lines_with())
+        assert load_outcome(load_csv, path)[0] == "ok"
+        assert calls == {"loadtxt": 1, "exact": 0}
+
+    def test_quoted_file_takes_the_exact_pass_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        path = tmp_path / "tracks.csv"
+        path.write_text(quote_all(lines_with()))
+        assert load_outcome(load_csv, path)[0] == "ok"
+        # the plain pass gives up at the first record
+        assert calls == {"loadtxt": 1, "exact": 1}
+
+    def count_calls(self, monkeypatch):
+        calls = {"loadtxt": 0, "exact": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        monkeypatch.setattr(dataset, "_load_exact", counted("exact", dataset._load_exact))
+        return calls
+
     def test_peak_memory_stays_near_the_frames(self, tmp_path):
         # Measured peaks on this file, as multiples of the loaded frames'
         # bytes: 1.27 row by row with csv and float(), 1.23 streaming,
         # 2.5 keeping a field list per line, 5.5 reading the whole text.
+        self.assert_peak_near_the_frames(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(quote_all, id="quoted"),
+            pytest.param(lambda text: text[: text.rindex(",")] + ",1_0\n", id="underscore-last"),
+        ],
+    )
+    def test_peak_memory_of_the_exact_pass(self, tmp_path, edit):
+        # files that the plain pass gives up on, at the first record or at
+        # the last. Measured: 1.15 and 1.22, as the exact pass keeps its
+        # values in one buffer; 5.47 with `1_0` last when the fallback
+        # kept its rows as Python lists.
+        self.assert_peak_near_the_frames(tmp_path, edit)
+
+    def assert_peak_near_the_frames(self, tmp_path, edit=None):
         ds = generate_synthetic(SyntheticConfig(n_per_class=10, n_frames=200, n_coords=30, seed=1))
         path = tmp_path / "ds.csv"
         write_csv(ds, path)
+        if edit is not None:
+            path.write_text(edit(path.read_text()))
         tracemalloc.start()
         try:
             loaded = load_csv(path)

@@ -645,6 +645,17 @@ class TestSolverReports:
             with pytest.raises(NumericError, match=rf"window \(0, 5\), fold \d: {message}"):
                 window_search(four_and_four(frames), [ClassifierSpec(kind)], WindowSpec(6, 1), 2, 0, n_components=1)
 
+    def test_overflowing_width_names_window_and_fold(self):
+        # every other sample scaled to about 1e153: a training fold's median
+        # distance is finite, but 2 sigma^2 overflows
+        rng = np.random.default_rng(1)
+        frames = [rng.standard_normal((6, 2)) * (1.5e153 if i % 2 == 0 else 1.0) for i in range(8)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"window \(0, 5\), fold \d: gaussian kernel width .* overflows"):
+                window_search(
+                    four_and_four(frames), [ClassifierSpec("gaussian_svm")], WindowSpec(6, 1), 2, 0, n_components=1
+                )
+
 
 class TestNoLeakage:
     """Fitting must not look at held-out samples in any way."""

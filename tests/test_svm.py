@@ -473,3 +473,12 @@ class TestNonFinite:
                 median_pairwise_distance(x)
             with pytest.raises(NumericError, match="median pairwise distance is not finite"):
                 train_smo(x, y, KernelSpec("gaussian"))
+
+    def test_width_whose_square_overflows(self):
+        # a finite median distance whose 2 sigma^2 overflows would give an
+        # all-ones Gram: every coefficient at C, bias 0 and every decision 0
+        x = np.array([[-6e153], [6e153], [-5e153], [5e153]])
+        y = np.array([-1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(NumericError, match=r"gaussian kernel width 1\.05e\+154 overflows 2 sigma\^2 "
+                           r"\(training data up to 6e\+153 in magnitude\)"):
+            train_smo(x, y, KernelSpec("gaussian"))
