@@ -145,8 +145,8 @@ def _check_training_inputs(x, y, lam):
         raise ValueError("labels must be 0/1, one per row of x")
     if not np.isfinite(x).all():
         raise DataFormatError("training data contains non-finite values")
-    if not np.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     return x, y
 
 

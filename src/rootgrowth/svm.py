@@ -12,9 +12,8 @@ diagonal is exactly 1.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -33,9 +32,9 @@ class KernelSpec:
 
     ``sigma=None`` (Gaussian) and ``a=None`` (sigmoid) mean "resolve
     from the training data": the median pairwise distance and 1/d
-    respectively. `resolve` fills them in, as the Grams need. A given
-    sigma must be positive with 2 sigma^2 finite and non-zero, and a
-    and b finite; a width resolved from data keeps the data's errors.
+    respectively. `resolve` fills them in, as the Grams need. One rule
+    serves given and resolved values: sigma must be positive with
+    2 sigma^2 finite and non-zero, and a and b finite.
     """
 
     kind: str
@@ -134,21 +133,25 @@ def resolve(
     """Fill data-dependent defaults (Gaussian sigma, sigmoid slope).
 
     ``inner`` is ``x @ x.T`` and ``sq`` is ``_sq_row_norms(x)``, for a
-    caller that has them already. The filled values skip `KernelSpec`'s
-    parameter checks, so a width from the data fails, if it does, with
-    the data's errors and not as a config value.
+    caller that has them already. The filled spec passes `KernelSpec`'s
+    own check; a width from the data that fails it is the data's fault,
+    so it raises NumericError and not ConfigError.
     """
     x = np.asarray(x, dtype=np.float64)
-    filled = {}
     if spec.kind == "gaussian" and spec.sigma is None:
-        filled["sigma"] = median_pairwise_distance(x, inner, sq)
+        sigma = median_pairwise_distance(x, inner, sq)
+        try:
+            return replace(spec, sigma=sigma)
+        except ConfigError:
+            # a median distance is positive and finite: only 2 sigma^2 can fail
+            fault = "overflows 2 sigma^2" if sigma > 1.0 else "rounds 2 sigma^2 to 0"
+            raise NumericError(
+                f"gaussian kernel width {sigma:.3g} {fault} "
+                f"(training data up to {np.abs(x).max():.3g} in magnitude)"
+            ) from None
     if spec.kind == "sigmoid" and spec.a is None:
-        filled["a"] = default_sigmoid_a(x.shape[1])
-    if not filled:
-        return spec
-    out = copy.copy(spec)  # a copy does not run __post_init__
-    out.__dict__.update(filled)
-    return out
+        return replace(spec, a=default_sigmoid_a(x.shape[1]))
+    return spec
 
 
 def gram_matrix(spec: KernelSpec, x: np.ndarray, inner: np.ndarray | None = None) -> np.ndarray:
@@ -292,7 +295,7 @@ def train_smo(
         raise ValueError("labels must be -1/+1, one per row of x")
     if not np.isfinite(x).all():
         raise DataFormatError("training data contains non-finite values")
-    if c <= 0 or tol <= 0 or max_passes < 1:
+    if not (c > 0 and tol > 0 and max_passes >= 1):
         raise ConfigError("need C > 0, tol > 0, max_passes >= 1")
     inner = x @ x.T if inner is None else np.asarray(inner, dtype=np.float64)
     if inner.shape != (n, n):
@@ -300,12 +303,6 @@ def train_smo(
 
     sq = _sq_row_norms(x) if kernel.kind == "gaussian" else None
     kernel = resolve(kernel, x, inner, sq)
-    if kernel.kind == "gaussian" and 2.0 * (kernel.sigma * kernel.sigma) == math.inf:
-        # the Gram would be all ones: every decision value 0, with no error
-        raise NumericError(
-            f"gaussian kernel width {kernel.sigma:.3g} overflows 2 sigma^2 "
-            f"(training data up to {np.abs(x).max():.3g} in magnitude)"
-        )
     k = gram_matrix(kernel, x, inner)
     if not np.isfinite(k).all():
         raise NumericError(

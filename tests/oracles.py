@@ -101,30 +101,60 @@ def project_box_hyperplane(v: np.ndarray, y: np.ndarray, c: float) -> np.ndarray
     interpolating on the bracketing segment. Requires both labels
     present (otherwise h never crosses zero).
     """
-    bps = np.sort(np.concatenate([v * y, (v - c) * y]))
-    # h at every breakpoint at once: column j is clip(v - bps[j] y, 0, c)
-    hs = y @ np.clip(v[:, None] - y[:, None] * bps[None, :], 0.0, c)
-    k = int(np.flatnonzero(hs >= 0.0)[-1])
-    if hs[k] == 0.0 or k == len(bps) - 1:
+    v, y = (np.asarray(a, dtype=np.float64).tolist() for a in (v, y))
+    return np.array(_project(v, y, float(c)))
+
+
+def _project(v: list[float], y: list[float], c: float) -> list[float]:
+    """`project_box_hyperplane` on lists of Python floats: numpy calls on
+    a handful of values cost more than their arithmetic. A coordinate
+    clipped to 0 adds nothing to h, so the sums skip it."""
+
+    def h(nu):
+        total = 0.0
+        for vi, yi in zip(v, y):
+            a = vi - nu * yi
+            if a > 0.0:
+                total += yi * (a if a < c else c)
+        return total
+
+    bps = sorted([vi * yi for vi, yi in zip(v, y)] + [(vi - c) * yi for vi, yi in zip(v, y)])
+    # the last breakpoint where h >= 0, scanning down from the top
+    k, hk, h_above = len(bps) - 1, h(bps[-1]), None
+    while hk < 0.0:
+        k, h_above = k - 1, hk
+        hk = h(bps[k])
+    if hk == 0.0 or h_above is None:
         nu = bps[k]
     else:
-        nu = bps[k] + (bps[k + 1] - bps[k]) * hs[k] / (hs[k] - hs[k + 1])
-    return np.clip(v - nu * y, 0.0, c)
+        nu = bps[k] + (bps[k + 1] - bps[k]) * hk / (hk - h_above)
+    out = []
+    for vi, yi in zip(v, y):
+        a = vi - nu * yi
+        out.append(0.0 if a <= 0.0 else a if a < c else c)
+    return out
 
 
 def qp_max_dual(k: np.ndarray, y: np.ndarray, c: float, steps: int = 5000) -> np.ndarray:
     """Maximize sum(a) - 1/2 a' Q a over the box-simplex by projected gradient.
 
     Q = (y y') * k. Plain fixed-step ascent; slow but has no moving parts,
-    which is the point.
+    which is the point. The ascent runs on Python floats, as `_project` does.
     """
     q = (y[:, None] * y[None, :]) * k
     lr = 1.0 / (float(np.linalg.norm(q, 2)) + 1.0)
-    alpha = np.zeros(len(y))
+    rows, labels, c = q.tolist(), np.asarray(y, dtype=np.float64).tolist(), float(c)
+    alpha = [0.0] * len(labels)
     for _ in range(steps):
-        grad = 1.0 - q @ alpha
-        alpha = project_box_hyperplane(alpha + lr * grad, y, c)
-    return alpha
+        # alpha + lr * (1 - Q alpha), one row of Q at a time
+        step = []
+        for ai, row in zip(alpha, rows):
+            qa = 0.0
+            for qij, aj in zip(row, alpha):
+                qa += qij * aj
+            step.append(ai + lr * (1.0 - qa))
+        alpha = _project(step, labels, c)
+    return np.array(alpha)
 
 
 def dual_value(alpha: np.ndarray, y: np.ndarray, k: np.ndarray) -> float:

@@ -295,6 +295,13 @@ class TestTrainers:
         with pytest.raises(ValueError, match="0/1"):
             train_ncl(x, np.full(len(x), 2.0), self.small_cfg(), 0.0)
 
+    @pytest.mark.parametrize("trainer", [train_ncl, train_gated_ncl, train_mnce])
+    def test_negative_lambda(self, trainer):
+        # the rule ClassifierSpec applies to lam: finite and >= 0
+        x, y = blob_problem()
+        with pytest.raises(ValueError, match=r"^lambda must be finite and >= 0, got -0\.5$"):
+            trainer(x, y, self.small_cfg(), -0.5)
+
     def test_non_finite_inputs(self):
         x, y = blob_problem()
         x = x.copy()

@@ -60,9 +60,9 @@ class TestKernelSpec:
         # a median distance whose 2 sigma^2 overflows is the data's width,
         # not a config value, so resolving it raises no ConfigError
         x = np.array([[-6e153], [6e153]])
-        spec = resolve(KernelSpec("gaussian"), x)
-        assert spec.sigma == median_pairwise_distance(x)
-        assert 2.0 * (spec.sigma * spec.sigma) == math.inf
+        assert 2.0 * (median_pairwise_distance(x) ** 2) == math.inf
+        with pytest.raises(NumericError, match=r"gaussian kernel width 1\.2e\+154 overflows 2 sigma\^2"):
+            resolve(KernelSpec("gaussian"), x)
 
     def test_default_slope(self):
         assert default_sigmoid_a(4) == 0.25
@@ -301,6 +301,26 @@ class TestSmoTraining:
         with pytest.raises(DataFormatError, match="non-finite"):
             train_smo(bad, np.array([-1.0, 1.0, -1.0, 1.0]), KernelSpec("linear"))
 
+    @pytest.mark.parametrize("field", ["c", "tol"])
+    def test_nan_solver_setting(self, field):
+        # a NaN C would keep every multiplier at 0, a NaN tol would run out
+        # the update budget and report residual 0
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((10, 2))
+        y = np.array([-1.0, 1.0] * 5)
+        with pytest.raises(ConfigError, match=r"^need C > 0, tol > 0, max_passes >= 1$"):
+            train_smo(x, y, KernelSpec("linear"), **{field: math.nan})
+
+    def test_no_support_vectors_predicts_the_bias(self):
+        # one class only: the equality constraint holds every multiplier
+        # at 0, so every decision value is the bias
+        x = np.array([[0.0], [1.0], [2.0]])
+        model = train_smo(x, np.ones(3), KernelSpec("gaussian", sigma=1.0))
+        assert model.n_support == 0
+        values = decision_function(model, np.array([[0.5], [-3.0], [9.0], [1.0]]))
+        assert values.tolist() == [model.bias] * 4
+        assert model.bias == 1.0
+
 
 def assert_same_fit(a, b, where=""):
     assert np.array_equal(a.coef, b.coef), where
@@ -481,4 +501,13 @@ class TestNonFinite:
         y = np.array([-1.0, 1.0, -1.0, 1.0])
         with pytest.raises(NumericError, match=r"gaussian kernel width 1\.05e\+154 overflows 2 sigma\^2 "
                            r"\(training data up to 6e\+153 in magnitude\)"):
+            train_smo(x, y, KernelSpec("gaussian"))
+
+    def test_width_whose_square_rounds_to_zero(self):
+        # the median distance 1.11e-162 is positive, but 2 sigma^2 rounds to
+        # 0 and the Gram would divide by it
+        x = np.array([[0.0], [0.0], [0.0], [2.3e-162]])
+        y = np.array([-1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(NumericError, match=r"^gaussian kernel width 1\.11e-162 rounds 2 sigma\^2 to 0 "
+                           r"\(training data up to 2\.3e-162 in magnitude\)$"):
             train_smo(x, y, KernelSpec("gaussian"))
