@@ -71,19 +71,15 @@ class RunConfig:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.classifiers:
-            raise ConfigError("classifiers list is empty")
-        if len(set(self.classifiers)) != len(self.classifiers):
-            raise ConfigError("classifiers list contains duplicates")
         for wild, mutated in self.pairings:
             if not wild or not mutated or wild == mutated:
                 raise ConfigError(f"pairings entry {wild}:{mutated} needs two distinct non-empty tags")
         if len(set(self.pairings)) != len(self.pairings):
             raise ConfigError("pairings list contains duplicates")
         # the checks of the objects the keys feed; every key is checked,
-        # used or not, as a spec checks the fields its kind does not read
+        # used or not, as a spec checks the fields its kinds do not read
         try:
-            self.specs()
+            self.classifier_spec()
             FeatureLayout(
                 self.window_length, self.pca_components,
                 self.include_velocity, self.include_acceleration,
@@ -95,38 +91,21 @@ class RunConfig:
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.window_length, self.window_stride)
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            n_experts=self.n_experts,
-            hidden=self.hidden,
-            epochs=self.epochs,
-            eta_experts=self.eta_experts,
-            eta_gate=self.eta_gate,
-            seed=0,  # replaced per fit with a derived sub-seed
+    def classifier_spec(self) -> ClassifierSpec:
+        train = TrainConfig(
+            n_experts=self.n_experts, hidden=self.hidden, epochs=self.epochs,
+            eta_experts=self.eta_experts, eta_gate=self.eta_gate,
         )
-
-    def specs(self) -> list[ClassifierSpec]:
-        train = self.train_config()
-        out = []
-        for kind in self.classifiers:
-            out.append(
-                ClassifierSpec(
-                    kind,
-                    c=self.svm_c,
-                    sigma=self.svm_sigma,
-                    a=self.svm_a,
-                    b=self.svm_b,
-                    lam=self.lam,
-                    train=train,
-                )
-            )
-        return out
+        return ClassifierSpec(
+            self.classifiers, c=self.svm_c, sigma=self.svm_sigma, a=self.svm_a,
+            b=self.svm_b, lam=self.lam, train=train,
+        )
 
 
 # the config key of each field the checks above can blame, where the
 # two names differ
 _KEY_OF = {
-    "kind": "classifiers",
+    "kinds": "classifiers",
     "c": "svm_c",
     "sigma": "svm_sigma",
     "a": "svm_a",
@@ -385,8 +364,8 @@ def run_protocol(cfg: RunConfig) -> dict:
         )
         pair_sets.append(pair_ds)
     del ds  # each pairing holds a copy of its rows, so release the full frames
-    specs = cfg.specs()
-    labels = [s.label for s in specs]
+    spec = cfg.classifier_spec()
+    labels = list(spec.labels)
     rows = []
     for (wild_tag, mutated_tag), pair_ds in zip(pairings, pair_sets):
         pair_seed = derive(cfg.seed, "pairing", wild_tag, mutated_tag)
@@ -394,7 +373,7 @@ def run_protocol(cfg: RunConfig) -> dict:
             "window-search",
             window_search,
             pair_ds,
-            specs,
+            spec,
             cfg.window_spec(),
             cfg.folds,
             pair_seed,
@@ -405,7 +384,7 @@ def run_protocol(cfg: RunConfig) -> dict:
             n_jobs=cfg.jobs,
         )
         if result.unconverged:
-            n_svm = sum(s.kind in evaluation.SVM_KINDS for s in specs)
+            n_svm = sum(kind in evaluation.SVM_KINDS for kind in spec.kinds)
             print(
                 f"warning: pairing {wild_tag}:{mutated_tag}: {result.unconverged} of "
                 f"{n_svm * len(result.windows) * cfg.folds} SVM fits stopped with a KKT "

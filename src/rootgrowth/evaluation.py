@@ -5,7 +5,8 @@ pooled training-fold frames only, and then evaluates each window on
 features assembled from that window's frames of the samples' scores
 under the fold's PCA. Fold assignments are fixed once per (seed,
 dataset) and shared across every window so window comparisons are like
-for like.
+for like. A search runs one `ClassifierSpec`: its kinds, one result
+column each, share one set of hyperparameters.
 
 The work unit is one (fold, window) pair, and units run fold by fold:
 at a fold's first unit a process drops the previous fold's scores and
@@ -50,13 +51,14 @@ TABLE_ORDER = tuple(KIND_LABELS)
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """One classifier column: kind plus the hyperparameters it uses.
+    """One search's classifiers: their kinds, in column order, and the
+    hyperparameters they share.
 
     SVM kinds read c/sigma/a/b (None means resolve from data); ensemble
-    kinds read lam and the TrainConfig.
+    kinds read lam and the TrainConfig, whose seed each fit replaces.
     """
 
-    kind: str
+    kinds: tuple[str, ...]
     c: float = 1.0
     sigma: float | None = None
     a: float | None = None
@@ -65,10 +67,15 @@ class ClassifierSpec:
     train: ensembles.TrainConfig = field(default_factory=ensembles.TrainConfig)
 
     def __post_init__(self):
-        if self.kind not in KIND_LABELS:
-            raise ConfigError(f"unknown classifier kind {self.kind!r}", ("kind",))
-        # every field is checked whatever the kind reads, so a value that
-        # only another kind would use is caught too
+        if not self.kinds:
+            raise ConfigError("classifiers list is empty")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ConfigError("classifiers list contains duplicates")
+        for kind in self.kinds:
+            if kind not in KIND_LABELS:
+                raise ConfigError(f"unknown classifier kind {kind!r}", ("kinds",))
+        # every field is checked whatever the kinds read, so a value that
+        # only an absent kind would use is caught too
         if not (math.isfinite(self.c) and self.c > 0):
             raise ConfigError(f"C must be finite and positive, got {self.c}", ("c",))
         # a kernel spec states the rules for sigma, a and b, and checks
@@ -78,32 +85,34 @@ class ClassifierSpec:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}", ("lam",))
 
     @property
-    def label(self) -> str:
-        return KIND_LABELS[self.kind]
+    def labels(self) -> tuple[str, ...]:
+        return tuple(KIND_LABELS[kind] for kind in self.kinds)
 
 
 def fit_classifier(
-    spec: ClassifierSpec, x: np.ndarray, y_unit: np.ndarray, seed: int, *, inner: np.ndarray | None = None
+    kind: str, spec: ClassifierSpec, x: np.ndarray, y_unit: np.ndarray, seed: int, *,
+    inner: np.ndarray | None = None,
 ) -> svm.SvmModel | ensembles.EnsembleModel:
-    """Train one classifier on unit-labeled rows; all randomness from seed.
+    """Train one classifier of ``kind``, one of ``spec.kinds``, on
+    unit-labeled rows; all randomness from seed.
 
     ``inner`` is ``x @ x.T``, for a caller that fits several SVMs on the
     same rows; ensembles do not read it.
     """
     x = np.asarray(x, dtype=np.float64)
     y_unit = np.asarray(y_unit, dtype=np.int64).ravel()
-    if spec.kind in SVM_KINDS:
-        if spec.kind == "linear_svm":
+    if kind in SVM_KINDS:
+        if kind == "linear_svm":
             kernel = svm.KernelSpec("linear")
-        elif spec.kind == "gaussian_svm":
+        elif kind == "gaussian_svm":
             kernel = svm.KernelSpec("gaussian", sigma=spec.sigma)
         else:
             kernel = svm.KernelSpec("sigmoid", a=spec.a, b=spec.b)
         return svm.train_smo(x, 2 * y_unit - 1, kernel, c=spec.c, inner=inner)
     cfg = replace(spec.train, seed=seed)
-    if spec.kind == "me":
+    if kind == "me":
         return ensembles.train_me(x, y_unit, cfg)
-    return ensembles.TRAINERS[spec.kind](x, y_unit, cfg, spec.lam)
+    return ensembles.TRAINERS[kind](x, y_unit, cfg, spec.lam)
 
 
 def predict_labels(model, x: np.ndarray) -> np.ndarray:
@@ -250,20 +259,21 @@ def _evaluate_unit(unit: tuple[int, int]):
     scores = ctx["scores"]
     x_train = features.assemble(scores[train_idx, start : end + 1], *ctx["blocks"])
     x_test = features.assemble(scores[test_idx, start : end + 1], *ctx["blocks"])
+    spec = ctx["spec"]
     # the unit's SVM fits share one product of its training rows
     inner = None
-    if any(spec.kind in SVM_KINDS for spec in ctx["specs"]):
+    if any(kind in SVM_KINDS for kind in spec.kinds):
         inner = x_train @ x_train.T
         inner.flags.writeable = False
-    for spec in ctx["specs"]:
-        fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
+    for kind in spec.kinds:
+        fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, kind)
         try:
-            fitted = fit_classifier(spec, x_train, labels[train_idx], fit_seed, inner=inner)
+            fitted = fit_classifier(kind, spec, x_train, labels[train_idx], fit_seed, inner=inner)
             preds = predict_labels(fitted, x_test)
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"window {window}, fold {fold_idx}: {exc}") from None
-        rates[spec.label] = error_rate(preds, labels[test_idx])
-        if spec.kind in SVM_KINDS and fitted.kkt_residual > svm.SMO_TOL:
+        rates[KIND_LABELS[kind]] = error_rate(preds, labels[test_idx])
+        if kind in SVM_KINDS and fitted.kkt_residual > svm.SMO_TOL:
             unconverged += 1
         # the model goes before the next fit, so a unit holds one at a time
         del fitted
@@ -272,7 +282,7 @@ def _evaluate_unit(unit: tuple[int, int]):
 
 def window_search(
     dataset: Dataset,
-    specs: list[ClassifierSpec],
+    spec: ClassifierSpec,
     wspec: WindowSpec,
     k_folds: int = 5,
     seed: int = 0,
@@ -283,7 +293,7 @@ def window_search(
     literal_sum: bool = False,
     n_jobs: int = 1,
 ) -> SearchResult:
-    """Evaluate every window of the grid with every classifier.
+    """Evaluate every window of the grid with each of the spec's classifiers.
 
     Folds are fixed once from the seed and shared by all windows; each
     fold's PCA is fit on its pooled training frames only, and each
@@ -293,11 +303,6 @@ def window_search(
     ``unconverged`` counts the SVM fits whose KKT residual ended above
     the solver's default tolerance.
     """
-    if not specs:
-        raise ConfigError("no classifiers configured")
-    labels_seen = [s.label for s in specs]
-    if len(set(labels_seen)) != len(labels_seen):
-        raise ConfigError(f"duplicate classifier labels in {labels_seen}")
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
 
@@ -308,7 +313,7 @@ def window_search(
         "dataset": dataset,
         "windows": windows,
         "labels": labels,
-        "specs": list(specs),
+        "spec": spec,
         "folds": _fold_models(dataset, folds, n_components),
         "blocks": (include_velocity, include_acceleration, literal_sum),
         "seed": seed,
@@ -336,11 +341,11 @@ def window_search(
     results = []
     for w_idx, window in enumerate(windows):
         per_fold = [rates for rates, _ in raw[w_idx :: len(windows)]]
-        means = {spec.label: float(np.mean([r[spec.label] for r in per_fold])) for spec in specs}
+        means = {label: float(np.mean([r[label] for r in per_fold])) for label in spec.labels}
         results.append(WindowResult(window, means))
     # min keeps the first minimum in window order, so ties keep the earliest start
     best = {
-        s.label: min(((r.window, r.errors[s.label]) for r in results), key=lambda b: b[1])
-        for s in specs
+        label: min(((r.window, r.errors[label]) for r in results), key=lambda b: b[1])
+        for label in spec.labels
     }
     return SearchResult(tuple(results), best, sum(n for _, n in raw))

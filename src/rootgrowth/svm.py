@@ -108,10 +108,10 @@ def _sq_row_norms(x: np.ndarray) -> np.ndarray:
     """
     n, d = x.shape
     step = max(2, _NORM_BLOCK // max(d, 1))
-    if step >= n:
-        return np.sum(x * x, axis=1)
     out = np.empty(n)
-    bounds = [*range(0, n - 1, step), n]  # every block starts at least two rows before n
+    # every later block starts at least two rows before n; with step >= n - 1
+    # the one block is the whole x
+    bounds = [0, *range(step, n - 1, step), n]
     for r0, r1 in zip(bounds, bounds[1:]):
         block = x[r0:r1]
         np.sum(block * block, axis=1, out=out[r0:r1])
@@ -295,8 +295,8 @@ def train_smo(
         raise ValueError("labels must be -1/+1, one per row of x")
     if not np.isfinite(x).all():
         raise DataFormatError("training data contains non-finite values")
-    if not (c > 0 and tol > 0 and max_passes >= 1):
-        raise ConfigError("need C > 0, tol > 0, max_passes >= 1")
+    if not (0 < c < math.inf and 0 < tol < math.inf and max_passes >= 1):
+        raise ConfigError("need finite C > 0, finite tol > 0, max_passes >= 1")
     inner = x @ x.T if inner is None else np.asarray(inner, dtype=np.float64)
     if inner.shape != (n, n):
         raise ValueError(f"inner must be x @ x.T, of shape {(n, n)}, got {inner.shape}")

@@ -741,28 +741,29 @@ def _reference_fold_scores(dataset, folds, n_components):
 def _reference_evaluate_window(ctx, w_idx):
     window = ctx["windows"][w_idx]
     labels = ctx["labels"]
-    rates = {spec.label: [] for spec in ctx["specs"]}
+    spec = ctx["spec"]
+    rates = {label: [] for label in spec.labels}
     unconverged = 0
     start, end = window
     for fold_idx, (scores, train_idx, test_idx) in enumerate(ctx["fold_scores"]):
         x = features.assemble(scores[:, start : end + 1], *ctx["blocks"])
         x_train, x_test = x[train_idx], x[test_idx]
-        for spec in ctx["specs"]:
-            fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, spec.kind)
+        for kind, label in zip(spec.kinds, spec.labels):
+            fit_seed = derive(ctx["seed"], "window", start, "fit", fold_idx, kind)
             try:
-                model = evaluation.fit_classifier(spec, x_train, labels[train_idx], fit_seed)
+                model = evaluation.fit_classifier(kind, spec, x_train, labels[train_idx], fit_seed)
                 preds = evaluation.predict_labels(model, x_test)
             except (ValueError, ArithmeticError) as exc:
                 raise type(exc)(f"window {window}, fold {fold_idx}: {exc}") from None
-            rates[spec.label].append(evaluation.error_rate(preds, labels[test_idx]))
-            if spec.kind in evaluation.SVM_KINDS and model.kkt_residual > SMO_TOL:
+            rates[label].append(evaluation.error_rate(preds, labels[test_idx]))
+            if kind in evaluation.SVM_KINDS and model.kkt_residual > SMO_TOL:
                 unconverged += 1
     return {label: float(np.mean(r)) for label, r in rates.items()}, unconverged
 
 
 def window_search_reference(
     dataset: Dataset,
-    specs,
+    spec,
     wspec,
     k_folds: int = 5,
     seed: int = 0,
@@ -780,7 +781,7 @@ def window_search_reference(
     ctx = {
         "windows": windows,
         "labels": labels,
-        "specs": list(specs),
+        "spec": spec,
         "fold_scores": _reference_fold_scores(dataset, folds, n_components),
         "blocks": (include_velocity, include_acceleration, literal_sum),
         "seed": seed,
@@ -788,9 +789,9 @@ def window_search_reference(
     raw = [_reference_evaluate_window(ctx, i) for i in range(len(windows))]
     results = tuple(evaluation.WindowResult(w, means) for w, (means, _) in zip(windows, raw))
     best = {}
-    for spec in specs:
+    for label in spec.labels:
         for res in results:  # window order, so ties keep the earliest start
-            err = res.errors[spec.label]
-            if spec.label not in best or err < best[spec.label][1]:
-                best[spec.label] = (res.window, err)
+            err = res.errors[label]
+            if label not in best or err < best[label][1]:
+                best[label] = (res.window, err)
     return evaluation.SearchResult(results, best, sum(n for _, n in raw))

@@ -350,8 +350,7 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys, monkeypatch):
         assert 0.10 <= oracle <= 0.20, f"noise miscalibrated: baseline at {oracle:.3f}"
 
         # (a) all seven classifiers beat the 0.5 chance level there
-        specs = [ClassifierSpec(kind) for kind in TABLE_ORDER]
-        result = window_search(ds, specs, WindowSpec(40, 1), 5, 0, n_components=3)
+        result = window_search(ds, ClassifierSpec(TABLE_ORDER), WindowSpec(40, 1), 5, 0, n_components=3)
         for kind in TABLE_ORDER:
             _, err = result.best[KIND_LABELS[kind]]
             assert err < 0.5, f"{KIND_LABELS[kind]} at chance ({err:.3f})"
@@ -363,7 +362,7 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys, monkeypatch):
             signal_window=(50, 89), signal_gap=0.3,
         )
         search = window_search(
-            generate_synthetic(localized), [ClassifierSpec("linear_svm")],
+            generate_synthetic(localized), ClassifierSpec(("linear_svm",)),
             WindowSpec(40, 25), 5, 0, n_components=3,
         )
         best_window, best_err = search.best["Linear-SVM"]
@@ -391,7 +390,7 @@ def test_gate_7_end_to_end_synthetic_protocol(capsys, monkeypatch):
         def search(ds, seed, **blocks):
             residuals.clear()
             result = window_search(
-                ds, [ClassifierSpec("linear_svm")], WindowSpec(40, 1), 5, seed,
+                ds, ClassifierSpec(("linear_svm",)), WindowSpec(40, 1), 5, seed,
                 n_components=3, **blocks,
             )
             fits = 5 * len(result.windows)

@@ -515,6 +515,23 @@ class TestFailFast:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"classifiers": "", "pairings": "wt_syn:wt_syn"}, "pairings entry wt_syn:wt_syn needs two distinct non-empty tags"),
+            ({"classifiers": "ncl, ncl", "epochs": "0"}, "config key 'epochs': need at least 1 epoch, got 0"),
+            ({"classifiers": "linear_svm, forest", "svm_c": "0"}, "config key 'classifiers': unknown classifier kind 'forest'"),
+            ({"classifiers": "forest, forest"}, "classifiers list contains duplicates"),
+        ],
+        ids=["pairings-first", "training-keys-first", "list-before-settings", "repeats-before-kinds"],
+    )
+    def test_classifier_list_checked_after_pairings_and_training_keys(self, raw, message):
+        # the list rules are the classifier spec's, checked before the
+        # settings its kinds share and after the keys checked ahead of it
+        with pytest.raises(ConfigError) as caught:
+            build_run_config(raw)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
         "lines,message",
         [
             (

@@ -96,41 +96,41 @@ class TestClassifierSpec:
     def test_labels_cover_table_order(self):
         assert len(TABLE_ORDER) == 7
         for kind in TABLE_ORDER:
-            assert ClassifierSpec(kind).label == KIND_LABELS[kind]
+            assert ClassifierSpec((kind,)).labels == (KIND_LABELS[kind],)
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="unknown"):
-            ClassifierSpec("forest")
+            ClassifierSpec(("forest",))
         with pytest.raises(ConfigError, match="C must"):
-            ClassifierSpec("linear_svm", c=0.0)
+            ClassifierSpec(("linear_svm",), c=0.0)
         with pytest.raises(ConfigError, match="lambda"):
-            ClassifierSpec("ncl", lam=-1.0)
+            ClassifierSpec(("ncl",), lam=-1.0)
 
 
 class TestFitClassifier:
     def test_svm_separates(self):
         x, y = separable_features()
-        model = fit_classifier(ClassifierSpec("linear_svm"), x, y, seed=0)
+        model = fit_classifier("linear_svm", ClassifierSpec(("linear_svm",)), x, y, seed=0)
         assert isinstance(model, svm.SvmModel)
         assert np.array_equal(predict_labels(model, x), y)
 
     def test_ensemble_seed_threads_through(self):
         x, y = separable_features(n=8, d=2)
-        spec = ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=3))
-        model = fit_classifier(spec, x, y, seed=123)
+        spec = ClassifierSpec(("ncl",), train=TrainConfig(n_experts=2, hidden=2, epochs=3))
+        model = fit_classifier("ncl", spec, x, y, seed=123)
         assert isinstance(model, ensembles.EnsembleModel)
         assert model.config.seed == 123
 
     @pytest.mark.parametrize(
-        "spec,kernel",
+        "kind,spec,kernel",
         [
-            (ClassifierSpec("linear_svm"), svm.KernelSpec("linear")),
-            (ClassifierSpec("gaussian_svm", sigma=2.5), svm.KernelSpec("gaussian", sigma=2.5)),
-            (ClassifierSpec("sigmoid_svm", a=0.3, b=-0.2), svm.KernelSpec("sigmoid", a=0.3, b=-0.2)),
+            ("linear_svm", ClassifierSpec(("linear_svm",)), svm.KernelSpec("linear")),
+            ("gaussian_svm", ClassifierSpec(("gaussian_svm",), sigma=2.5), svm.KernelSpec("gaussian", sigma=2.5)),
+            ("sigmoid_svm", ClassifierSpec(("sigmoid_svm",), a=0.3, b=-0.2), svm.KernelSpec("sigmoid", a=0.3, b=-0.2)),
         ],
         ids=["linear", "gaussian", "sigmoid"],
     )
-    def test_builds_only_the_named_kernel(self, monkeypatch, spec, kernel):
+    def test_builds_only_the_named_kernel(self, monkeypatch, kind, spec, kernel):
         built = []
         make = svm.KernelSpec
 
@@ -140,15 +140,16 @@ class TestFitClassifier:
 
         monkeypatch.setattr(svm, "KernelSpec", recorded)
         x, y = separable_features()
-        model = fit_classifier(spec, x, y, seed=0)
+        model = fit_classifier(kind, spec, x, y, seed=0)
         assert built == [kernel]
         assert model.kernel.kind == kernel.kind
 
     def test_all_kinds_produce_unit_predictions(self):
         x, y = separable_features(n=10, d=2)
         train = TrainConfig(n_experts=2, hidden=2, epochs=5)
+        spec = ClassifierSpec(TABLE_ORDER, train=train)
         for kind in TABLE_ORDER:
-            model = fit_classifier(ClassifierSpec(kind, train=train), x, y, seed=1)
+            model = fit_classifier(kind, spec, x, y, seed=1)
             preds = predict_labels(model, x)
             assert set(np.unique(preds)).issubset({0, 1}), kind
 
@@ -176,9 +177,9 @@ def toy_dataset(signal=False, n_per_class=4, t=12, seed=0):
 
 class TestWindowSearch:
     def run_search(self, ds, n_jobs=1, stride=3):
-        specs = [ClassifierSpec("linear_svm")]
+        spec = ClassifierSpec(("linear_svm",))
         return window_search(
-            ds, specs, WindowSpec(5, stride), k_folds=2, seed=0,
+            ds, spec, WindowSpec(5, stride), k_folds=2, seed=0,
             n_components=2, n_jobs=n_jobs,
         )
 
@@ -241,17 +242,15 @@ class TestWindowSearch:
         assert window == (0, 4)
 
     def test_duplicate_labels_rejected(self):
-        ds = toy_dataset()
-        specs = [ClassifierSpec("ncl"), ClassifierSpec("ncl")]
         with pytest.raises(ConfigError, match="duplicate"):
-            window_search(ds, specs, WindowSpec(5, 3), 2, 0, n_components=2)
+            ClassifierSpec(("ncl", "ncl"))
 
     def test_error_names_window_and_fold(self):
         ds = toy_dataset()
-        bad = ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=1))
+        bad = ClassifierSpec(("ncl",), train=TrainConfig(n_experts=2, hidden=2, epochs=1))
         object.__setattr__(bad, "lam", np.nan)  # sneak past spec validation
         with pytest.raises(ValueError, match=r"window \(0, 4\), fold 0"):
-            window_search(ds, [bad], WindowSpec(5, 6), 2, 0, n_components=2)
+            window_search(ds, bad, WindowSpec(5, 6), 2, 0, n_components=2)
 
 
     def test_one_trainer_call_per_ensemble_fit(self, monkeypatch):
@@ -270,8 +269,8 @@ class TestWindowSearch:
             monkeypatch.setitem(ensembles.TRAINERS, kind, counted(kind, fn))
         monkeypatch.setattr(ensembles, "train_me", counted("me", ensembles.train_me))
         train = TrainConfig(n_experts=2, hidden=2, epochs=1)
-        specs = [ClassifierSpec(kind, train=train) for kind in ensembles.VARIANTS]
-        res = window_search(toy_dataset(), specs, WindowSpec(5, 3), 2, 0, n_components=2)
+        spec = ClassifierSpec(ensembles.VARIANTS, train=train)
+        res = window_search(toy_dataset(), spec, WindowSpec(5, 3), 2, 0, n_components=2)
         assert len(res.windows) == 3
         assert calls == {kind: 3 * 2 for kind in ensembles.VARIANTS}
 
@@ -284,10 +283,10 @@ class TestWindowSearch:
         rng = np.random.default_rng(2)
         big = np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 1.0], [-3.0, -1.0], [0.0, 0.0]]) * 2.0**450
         frames = [big * (1 + i % 3) if i % 2 == 0 else rng.standard_normal((5, 2)) for i in range(8)]
-        spec = ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=2, eta_experts=1e250))
+        spec = ClassifierSpec(("ncl",), train=TrainConfig(n_experts=2, hidden=2, epochs=2, eta_experts=1e250))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=r"window \(0, 4\), fold 0: non-finite weights after epoch 0"):
-                window_search(four_and_four(frames), [spec], WindowSpec(5, 1), 2, 0, n_components=1)
+                window_search(four_and_four(frames), spec, WindowSpec(5, 1), 2, 0, n_components=1)
 
 
     def test_fold_pca_error_names_the_fold(self):
@@ -302,7 +301,7 @@ class TestWindowSearch:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match=rf"^fold {fold}: PCA variances overflow"):
                 window_search(
-                    ds, [ClassifierSpec("linear_svm")], WindowSpec(5, 6), 2, 0, n_components=2
+                    ds, ClassifierSpec(("linear_svm",)), WindowSpec(5, 6), 2, 0, n_components=2
                 )
 
 
@@ -379,19 +378,17 @@ class TestFoldProjection:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(type(ref.value)) as info:
-                window_search(ds, [ClassifierSpec("linear_svm")], WindowSpec(5, 6), 2, 0, n_components=k)
+                window_search(ds, ClassifierSpec(("linear_svm",)), WindowSpec(5, 6), 2, 0, n_components=k)
         assert str(info.value) == expected
 
 
 class TestFoldMajorOrder:
     """Units run fold by fold; results are those of the window-major loop."""
 
-    SPECS = [
-        ClassifierSpec("linear_svm", c=100.0),
-        ClassifierSpec("gaussian_svm"),
-        ClassifierSpec("sigmoid_svm"),
-        ClassifierSpec("mnce", train=TrainConfig(n_experts=2, hidden=2, epochs=2)),
-    ]
+    SPEC = ClassifierSpec(
+        ("linear_svm", "gaussian_svm", "sigmoid_svm", "mnce"),
+        c=100.0, train=TrainConfig(n_experts=2, hidden=2, epochs=2),
+    )
 
     @pytest.mark.parametrize(
         "n_jobs,velocity,acceleration,literal_sum",
@@ -411,7 +408,7 @@ class TestFoldMajorOrder:
             n_per_class=4, n_frames=12, n_coords=3, base_velocity=0.0,
             velocity_gap=0.0, noise_sd=0.5, seed=3,
         ))
-        args = (ds, self.SPECS, WindowSpec(5, 3), 3, 7)
+        args = (ds, self.SPEC, WindowSpec(5, 3), 3, 7)
         kwargs = dict(
             n_components=2, include_velocity=velocity,
             include_acceleration=acceleration, literal_sum=literal_sum,
@@ -430,7 +427,7 @@ class TestFoldMajorOrder:
             return scores(dataset, model)
 
         monkeypatch.setattr(evaluation, "dataset_scores", counted)
-        res = window_search(toy_dataset(), [ClassifierSpec("linear_svm")], WindowSpec(5, 3), 3, 0, n_components=2)
+        res = window_search(toy_dataset(), ClassifierSpec(("linear_svm",)), WindowSpec(5, 3), 3, 0, n_components=2)
         assert len(res.windows) == 3
         assert len(calls) == 3
         assert len({id(model) for model in calls}) == 3
@@ -442,14 +439,14 @@ class TestFoldMajorOrder:
         failing = {derive(0, "window", start, "fit", fold, "linear_svm") for start, fold in ((0, 1), (6, 0))}
         fit = evaluation.fit_classifier
 
-        def fit_or_fail(spec, x, y_unit, seed, *, inner=None):
+        def fit_or_fail(kind, spec, x, y_unit, seed, *, inner=None):
             if seed in failing:
                 raise ValueError("chosen failure")
-            return fit(spec, x, y_unit, seed, inner=inner)
+            return fit(kind, spec, x, y_unit, seed, inner=inner)
 
         monkeypatch.setattr(evaluation, "fit_classifier", fit_or_fail)
         ds = toy_dataset()
-        args = (ds, [ClassifierSpec("linear_svm")], WindowSpec(5, 3), 2, 0)
+        args = (ds, ClassifierSpec(("linear_svm",)), WindowSpec(5, 3), 2, 0)
         with pytest.raises(ValueError, match=r"^window \(0, 4\), fold 1: chosen failure$"):
             window_search_reference(*args, n_components=2)
         # the pool's workers are forked, so they run the patched fit too
@@ -463,7 +460,7 @@ class TestFoldMajorOrder:
         ds = generate_synthetic(SyntheticConfig(n_per_class=10, n_frames=300, n_coords=60, seed=4))
         tracemalloc.start()
         try:
-            window_search(ds, [ClassifierSpec("linear_svm")], WindowSpec(40, 20), 5, 0, n_components=30)
+            window_search(ds, ClassifierSpec(("linear_svm",)), WindowSpec(40, 20), 5, 0, n_components=30)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -477,7 +474,7 @@ class TestFoldMajorOrder:
         ds = generate_synthetic(SyntheticConfig(n_per_class=10, n_frames=1000, n_coords=60, seed=4))
         tracemalloc.start()
         try:
-            window_search(ds, [ClassifierSpec("linear_svm")], WindowSpec(40, 100), 5, 0, n_components=30)
+            window_search(ds, ClassifierSpec(("linear_svm",)), WindowSpec(40, 100), 5, 0, n_components=30)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -488,7 +485,7 @@ class TestFoldMajorOrder:
 class TestUnitWorkingSet:
     """What one (fold, window) unit builds and keeps while it fits."""
 
-    SPECS = TestFoldMajorOrder.SPECS
+    SPEC = TestFoldMajorOrder.SPEC
 
     @pytest.mark.parametrize(
         "velocity,acceleration,literal_sum",
@@ -509,9 +506,9 @@ class TestUnitWorkingSet:
         fit = evaluation.fit_classifier
         predict = evaluation.predict_labels
 
-        def fit_recorded(spec, x, y_unit, fit_seed, *, inner=None):
+        def fit_recorded(kind, spec, x, y_unit, fit_seed, *, inner=None):
             seen.append([fit_seed, np.array(x), None])
-            return fit(spec, x, y_unit, fit_seed, inner=inner)
+            return fit(kind, spec, x, y_unit, fit_seed, inner=inner)
 
         def predict_recorded(model, x):
             seen[-1][2] = np.array(x)
@@ -520,7 +517,7 @@ class TestUnitWorkingSet:
         monkeypatch.setattr(evaluation, "fit_classifier", fit_recorded)
         monkeypatch.setattr(evaluation, "predict_labels", predict_recorded)
         window_search(
-            ds, self.SPECS, WindowSpec(5, 3), k_folds, seed, n_components=n_components,
+            ds, self.SPEC, WindowSpec(5, 3), k_folds, seed, n_components=n_components,
             include_velocity=velocity, include_acceleration=acceleration, literal_sum=literal_sum,
         )
         windows = [(0, 4), (3, 7), (6, 10)]
@@ -532,10 +529,10 @@ class TestUnitWorkingSet:
             scores = dataset_scores(ds, fit_fold_pca(ds, train_idx, n_components))
             for start, end in windows:
                 full = assemble(scores[:, start : end + 1], *blocks)
-                for spec in self.SPECS:
-                    key = derive(seed, "window", start, "fit", fold, spec.kind)
+                for kind in self.SPEC.kinds:
+                    key = derive(seed, "window", start, "fit", fold, kind)
                     expected[key] = (full[train_idx], full[test_idx])
-        assert len(seen) == len(expected) == len(folds) * len(windows) * len(self.SPECS)
+        assert len(seen) == len(expected) == len(folds) * len(windows) * len(self.SPEC.kinds)
         for fit_seed, x_train, x_test in seen:
             want_train, want_test = expected[fit_seed]
             assert np.array_equal(x_train.view(np.int64), want_train.view(np.int64))
@@ -545,15 +542,15 @@ class TestUnitWorkingSet:
         previous = []  # weak references to the models fit so far
         fit = evaluation.fit_classifier
 
-        def fit_checked(spec, x, y_unit, fit_seed, *, inner=None):
+        def fit_checked(kind, spec, x, y_unit, fit_seed, *, inner=None):
             assert all(ref() is None for ref in previous), "a previous model is still alive"
-            model = fit(spec, x, y_unit, fit_seed, inner=inner)
+            model = fit(kind, spec, x, y_unit, fit_seed, inner=inner)
             previous.append(weakref.ref(model))
             return model
 
         monkeypatch.setattr(evaluation, "fit_classifier", fit_checked)
-        window_search(toy_dataset(), self.SPECS, WindowSpec(5, 3), 2, 0, n_components=2)
-        assert len(previous) == 2 * 3 * len(self.SPECS)
+        window_search(toy_dataset(), self.SPEC, WindowSpec(5, 3), 2, 0, n_components=2)
+        assert len(previous) == 2 * 3 * len(self.SPEC.kinds)
 
     def test_svm_fits_of_a_unit_share_one_inner_product(self, monkeypatch):
         seen = []  # (kernel kind, training rows, inner) per SVM fit
@@ -564,9 +561,9 @@ class TestUnitWorkingSet:
             return train(x, y, kernel, *args, **kwargs)
 
         monkeypatch.setattr(svm, "train_smo", recorded)
-        specs = [ClassifierSpec("linear_svm"), ClassifierSpec("gaussian_svm")]
-        window_search(toy_dataset(), specs, WindowSpec(5, 3), 2, 0, n_components=2)
-        assert len(seen) == 2 * 3 * len(specs)
+        spec = ClassifierSpec(("linear_svm", "gaussian_svm"))
+        window_search(toy_dataset(), spec, WindowSpec(5, 3), 2, 0, n_components=2)
+        assert len(seen) == 2 * 3 * len(spec.kinds)
         for (kind_a, x_a, inner_a), (kind_b, x_b, inner_b) in zip(seen[::2], seen[1::2]):
             assert (kind_a, kind_b) == ("linear", "gaussian")
             assert inner_a is not None and inner_a is inner_b
@@ -580,11 +577,11 @@ class TestUnitWorkingSet:
         # the next fit and squared x whole for Gaussian norms; 0.92x
         # without those. A search imports no module on the way (numpy.ma
         # was 0.4x here), so the ratio holds whatever ran before it
-        specs = [ClassifierSpec("linear_svm"), ClassifierSpec("gaussian_svm")]
+        spec = ClassifierSpec(("linear_svm", "gaussian_svm"))
         ds = generate_synthetic(SyntheticConfig(n_per_class=10, n_frames=300, n_coords=60, seed=4))
         tracemalloc.start()
         try:
-            window_search(ds, specs, WindowSpec(40, 20), 5, 0, n_components=30)
+            window_search(ds, spec, WindowSpec(40, 20), 5, 0, n_components=30)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -612,17 +609,17 @@ class TestSolverReports:
 
         monkeypatch.setattr(svm, "train_smo", one_pass)
         ds = self.noise_dataset()
-        specs = [ClassifierSpec(kind, c=100.0) for kind in ("linear_svm", "gaussian_svm", "sigmoid_svm")]
-        res = window_search(ds, specs, WindowSpec(3, 3), 2, 0, n_components=1)
+        spec = ClassifierSpec(("linear_svm", "gaussian_svm", "sigmoid_svm"), c=100.0)
+        res = window_search(ds, spec, WindowSpec(3, 3), 2, 0, n_components=1)
         assert len(residuals) == 4 * 2 * 3
         assert res.unconverged == sum(r > svm.SMO_TOL for r in residuals) > 0
 
     def test_unconverged_count_same_under_jobs(self):
         # noise labels and a large C: some fits end above the tolerance
         ds = self.noise_dataset()
-        specs = [ClassifierSpec("linear_svm", c=100.0), ClassifierSpec("ncl", train=TrainConfig(n_experts=2, hidden=2, epochs=1))]
-        serial = window_search(ds, specs, WindowSpec(3, 3), 2, 0, n_components=1)
-        parallel = window_search(ds, specs, WindowSpec(3, 3), 2, 0, n_components=1, n_jobs=2)
+        spec = ClassifierSpec(("linear_svm", "ncl"), c=100.0, train=TrainConfig(n_experts=2, hidden=2, epochs=1))
+        serial = window_search(ds, spec, WindowSpec(3, 3), 2, 0, n_components=1)
+        parallel = window_search(ds, spec, WindowSpec(3, 3), 2, 0, n_components=1, n_jobs=2)
         assert 0 < serial.unconverged < 4 * 2
         assert serial == parallel
 
@@ -643,7 +640,7 @@ class TestSolverReports:
         frames = [signs * np.array([1.0, 2.0]) * 2.0**508 if i == 0 else rng.standard_normal((6, 2)) for i in range(8)]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=rf"window \(0, 5\), fold \d: {message}"):
-                window_search(four_and_four(frames), [ClassifierSpec(kind)], WindowSpec(6, 1), 2, 0, n_components=1)
+                window_search(four_and_four(frames), ClassifierSpec((kind,)), WindowSpec(6, 1), 2, 0, n_components=1)
 
     def test_overflowing_width_names_window_and_fold(self):
         # every other sample scaled to about 1e153: a training fold's median
@@ -653,7 +650,7 @@ class TestSolverReports:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=r"window \(0, 5\), fold \d: gaussian kernel width .* overflows"):
                 window_search(
-                    four_and_four(frames), [ClassifierSpec("gaussian_svm")], WindowSpec(6, 1), 2, 0, n_components=1
+                    four_and_four(frames), ClassifierSpec(("gaussian_svm",)), WindowSpec(6, 1), 2, 0, n_components=1
                 )
 
 
@@ -686,8 +683,8 @@ class TestNoLeakage:
         y = ds.labels
         train_idx = np.arange(0, ds.n_samples, 2)
         probe = np.linspace(-1.0, 1.0, x.shape[1])[None, :]
-        spec = ClassifierSpec("gaussian_svm")
-        a = fit_classifier(spec, x[train_idx], y[train_idx], seed=5)
-        b = fit_classifier(spec, x[train_idx], y[train_idx], seed=5)
+        spec = ClassifierSpec(("gaussian_svm",))
+        a = fit_classifier("gaussian_svm", spec, x[train_idx], y[train_idx], seed=5)
+        b = fit_classifier("gaussian_svm", spec, x[train_idx], y[train_idx], seed=5)
         assert np.array_equal(predict_labels(a, probe), predict_labels(b, probe))
         assert np.array_equal(a.coef, b.coef)

@@ -77,10 +77,12 @@ CHECKS = [
     ("kfold_labels", lambda: kfold_split(2, 2, np.zeros(3), 0), ValueError,
      "labels must have length 2, got shape (3,)"),
     ("window_result_error", lambda: WindowResult((0, 2), {"NCL": 1.5}), ValueError, "NCL: error 1.5 outside [0, 1]"),
-    ("window_search_no_classifiers", lambda: window_search(None, [], features.WindowSpec(3), n_components=1),
-     ConfigError, "no classifiers configured"),
+    ("classifier_spec_empty", lambda: ClassifierSpec(()), ConfigError, "classifiers list is empty"),
+    ("classifier_spec_unknown", lambda: ClassifierSpec(("forest",)), ConfigError, "unknown classifier kind 'forest'"),
+    ("classifier_spec_repeated", lambda: ClassifierSpec(("ncl", "ncl")), ConfigError,
+     "classifiers list contains duplicates"),
     ("window_search_jobs",
-     lambda: window_search(None, [ClassifierSpec("linear_svm")], features.WindowSpec(3), n_components=1, n_jobs=0),
+     lambda: window_search(None, ClassifierSpec(("linear_svm",)), features.WindowSpec(3), n_components=1, n_jobs=0),
      ConfigError, "n_jobs must be >= 1, got 0"),
     # features
     ("window_length", lambda: features.WindowSpec(0), ConfigError, "window length must be >= 1, got 0"),

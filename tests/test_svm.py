@@ -286,7 +286,7 @@ class TestSmoTraining:
 
     def test_tie_goes_negative(self):
         # f(0) = 0 exactly on this symmetric pair; the tie is class 0
-        model = fit_classifier(ClassifierSpec("linear_svm"), np.array([[-1.0], [1.0]]), np.array([0, 1]), 0)
+        model = fit_classifier("linear_svm", ClassifierSpec(("linear_svm",)), np.array([[-1.0], [1.0]]), np.array([0, 1]), 0)
         assert decision_function(model, np.array([[0.0]])) == 0.0
         assert predict_labels(model, np.array([[0.0]])).tolist() == [0]
 
@@ -308,8 +308,15 @@ class TestSmoTraining:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((10, 2))
         y = np.array([-1.0, 1.0] * 5)
-        with pytest.raises(ConfigError, match=r"^need C > 0, tol > 0, max_passes >= 1$"):
+        with pytest.raises(ConfigError, match=r"^need finite C > 0, finite tol > 0, max_passes >= 1$"):
             train_smo(x, y, KernelSpec("linear"), **{field: math.nan})
+        # an infinite C lets the sigmoid kernel's multipliers grow to about
+        # 1e160 on these rows, and an infinite tol stops at once with no
+        # support vectors
+        x = rng.standard_normal((12, 3))
+        y = np.array([-1.0, 1.0] * 6)
+        with pytest.raises(ConfigError, match=r"^need finite C > 0, finite tol > 0, max_passes >= 1$"):
+            train_smo(x, y, KernelSpec("sigmoid"), **{field: math.inf})
 
     def test_no_support_vectors_predicts_the_bias(self):
         # one class only: the equality constraint holds every multiplier
