@@ -137,7 +137,7 @@ def write_csv(dataset: Dataset, path: str | os.PathLike) -> None:
 def load_csv(path: str | os.PathLike) -> Dataset:
     """Load a dataset written by `write_csv` (or anything matching its schema).
 
-    Validates the header, per-sample frame_index contiguity, shared T
+    Validates the header, id order, frame_index contiguity, shared T
     and d, numeric parse of every value, and presence of both classes.
     Fields follow `csv` quoting, values parse as Python `float`, and the
     first bad line in file order is the one reported.
@@ -154,12 +154,10 @@ def load_csv(path: str | os.PathLike) -> Dataset:
             loaded = _load_exact(path)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    block, starts = loaded
-    if not starts:
+    block, samples = loaded
+    if not samples.starts:
         raise DataFormatError(f"{path}: no data rows")
-    ids, tags, labels, firsts = zip(*starts)
-    if list(ids) != sorted(ids):
-        raise DataFormatError(f"{path}: rows are not sorted by sample_id")
+    ids, tags, labels = zip(*samples.starts)
     pairing = None
     manifest = _manifest_path(path)
     if os.path.exists(manifest):
@@ -170,15 +168,8 @@ def load_csv(path: str | os.PathLike) -> Dataset:
                 raise DataFormatError(
                     f"{manifest}: wild_tag and mutated_tag must be two distinct non-empty tags, got {pairing}"
                 )
-    d = block.shape[1]
-    counts = np.diff(firsts + (len(block),)).tolist()
-    for sid, count in zip(ids, counts):
-        if count != counts[0]:
-            raise DataFormatError(
-                f"sample {sid!r} has shape {(count, d)}, expected {(counts[0], d)}"
-            )
     # a view: the parsed block is the dataset's storage
-    return Dataset(block.reshape(len(ids), counts[0], d), ids, tags, labels, pairing=pairing)
+    return Dataset(block.reshape(len(ids), samples.n_frames, block.shape[1]), ids, tags, labels, pairing=pairing)
 
 
 # Characters that csv or float() read differently from numpy's reader: a
@@ -191,10 +182,10 @@ class _NotPlain(ValueError):
     """Raised inside numpy's reader to give up the plain pass."""
 
 
-def _load_plain(path) -> tuple[np.ndarray, list] | None:
+def _load_plain(path) -> tuple[np.ndarray, _Identity] | None:
     """Every record's coordinates in one `np.loadtxt` call.
 
-    Returns the (rows, d) block and `_Identity.starts`, or None, for
+    Returns the (rows, d) block and its checked `_Identity`, or None, for
     `_load_exact` to decide, as soon as a record is not plain, breaks a
     rule or holds a value numpy refuses, and when a value is not finite.
     A wrong field count shows as a row numpy refuses or as a block of
@@ -202,7 +193,7 @@ def _load_plain(path) -> tuple[np.ndarray, list] | None:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         d = _read_header(path, fh)
-        samples = _Identity(path)
+        samples = _Identity(path, d)
 
         def coordinates():
             for lineno, line in enumerate(fh, start=2):
@@ -221,12 +212,12 @@ def _load_plain(path) -> tuple[np.ndarray, list] | None:
                 block = np.loadtxt(coordinates(), delimiter=",", comments=None, ndmin=2)
             except ValueError:
                 return None
-    if block.shape != (samples.rows, d) or not np.isfinite(block).all():
+    if block.shape != (len(samples.starts) * samples.n_frames, d) or not np.isfinite(block).all():
         return None
-    return block, samples.starts
+    return block, samples
 
 
-def _load_exact(path) -> tuple[np.ndarray, list]:
+def _load_exact(path) -> tuple[np.ndarray, _Identity]:
     """Every record through `csv.reader` and every value through `float()`,
     in file order, so the first bad record is the one reported."""
     from array import array  # here, so that a plain load maps no extra module
@@ -234,7 +225,7 @@ def _load_exact(path) -> tuple[np.ndarray, list]:
     values = array("d")
     with open(path, newline="", encoding="utf-8") as fh:
         d = _read_header(path, fh)
-        samples = _Identity(path)
+        samples = _Identity(path, d)
         lineno = 1
         try:
             for lineno, fields in enumerate(csv.reader(fh), start=2):
@@ -251,7 +242,7 @@ def _load_exact(path) -> tuple[np.ndarray, list]:
         except csv.Error as exc:  # e.g. a field over csv's size limit, raised before its record is numbered
             raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from None
         samples.finish()
-    return np.frombuffer(values).reshape(-1, d), samples.starts
+    return np.frombuffer(values).reshape(-1, d), samples
 
 
 def _read_header(path, fh) -> int:
@@ -270,15 +261,17 @@ class _Identity:
     """The rules on a data record's sample_id, group_tag, label and
     frame_index, checked one record at a time in file order.
 
-    ``starts`` holds each sample's id, tag, label and first row, and
-    ``rows`` counts the records checked. A sample of under 3 frames is
-    reported when the next sample begins, or at `finish`.
+    ``starts`` holds each sample's id, tag and label, and ``n_frames``
+    the first sample's frame count, which every sample must share. A
+    sample's frame count is checked when the next sample begins, or at
+    `finish`.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, d: int):
         self.path = path
-        self.rows = 0
-        self.starts: list[tuple[str, str, int, int]] = []
+        self.d = d
+        self.n_frames = 0
+        self.starts: list[tuple[str, str, int]] = []
         self._seen: set[str] = set()
         self._current = (None, None, None)  # id, tag and label token
         self._count = 0
@@ -289,10 +282,12 @@ class _Identity:
             self.finish()
             if sid in self._seen:
                 raise DataFormatError(f"{path}:{lineno}: rows for sample {sid!r} are not contiguous")
+            if self.starts and sid < self._current[0]:
+                raise DataFormatError(f"{path}: rows are not sorted by sample_id")
             if token not in LABELS:
-                raise DataFormatError(f"unknown label token {token!r}")
+                raise DataFormatError(f"{path}:{lineno}: unknown label token {token!r}")
             self._seen.add(sid)
-            self.starts.append((sid, tag, LABELS.index(token), self.rows))
+            self.starts.append((sid, tag, LABELS.index(token)))
             self._current, self._count = (sid, tag, token), 0
         elif (sid, tag, token) != self._current:
             raise DataFormatError(f"{path}:{lineno}: sample {sid!r} changes group_tag or label mid-file")
@@ -301,12 +296,16 @@ class _Identity:
                 f"{path}:{lineno}: frame_index {idx_text!r} out of order (expected {self._count})"
             )
         self._count += 1
-        self.rows += 1
 
     def finish(self) -> None:
         """Check the frame count of the sample that the last record ended."""
-        if self.starts and self._count < 3:
-            raise DataFormatError(f"sample {self._current[0]!r}: need at least 3 frames, got {self._count}")
+        sid, count = self._current[0], self._count
+        if self.starts and count < 3:
+            raise DataFormatError(f"sample {sid!r}: need at least 3 frames, got {count}")
+        if len(self.starts) == 1:
+            self.n_frames = count
+        elif count != self.n_frames:  # 0 and 0 before the first sample
+            raise DataFormatError(f"sample {sid!r} has shape {(count, self.d)}, expected {(self.n_frames, self.d)}")
 
 
 def _check_header(path, header: list[str]) -> None:

@@ -34,7 +34,7 @@ class KernelSpec:
     from the training data": the median pairwise distance and 1/d
     respectively. `resolve` fills them in, as the Grams need. One rule
     serves given and resolved values: sigma must be positive with
-    2 sigma^2 finite and non-zero, and a and b finite.
+    2 sigma^2 finite and non-zero, a positive and finite, and b finite.
     """
 
     kind: str
@@ -55,6 +55,9 @@ class KernelSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}", (name,))
+        # a slope of 0 makes the kernel tanh(b), one value for every pair of rows
+        if self.a is not None and self.a <= 0:
+            raise ConfigError(f"a must be positive, got {self.a}", ("a",))
 
 
 def default_sigmoid_a(n_coords: int) -> float:

@@ -604,7 +604,12 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
                     raise DataFormatError(
                         f"sample {cur_id!r}: need at least 3 frames, got {len(cur_rows)}"
                     )
-                samples.append((cur_id, cur_tag, cur_label, np.array(cur_rows)))
+                frames = np.array(cur_rows)
+                if samples and frames.shape != samples[0][3].shape:
+                    raise DataFormatError(
+                        f"sample {cur_id!r} has shape {frames.shape}, expected {samples[0][3].shape}"
+                    )
+                samples.append((cur_id, cur_tag, cur_label, frames))
 
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -618,9 +623,11 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
                     raise DataFormatError(
                         f"{path}:{lineno}: rows for sample {sid!r} are not contiguous"
                     )
+                if samples and sid < samples[-1][0]:
+                    raise DataFormatError(f"{path}: rows are not sorted by sample_id")
                 seen_ids.add(sid)
                 if token not in LABELS:
-                    raise DataFormatError(f"unknown label token {token!r}")
+                    raise DataFormatError(f"{path}:{lineno}: unknown label token {token!r}")
                 cur_id, cur_tag, cur_label, cur_rows = sid, tag, LABELS.index(token), []
             elif tag != cur_tag or token != LABELS[cur_label]:
                 raise DataFormatError(
@@ -645,18 +652,12 @@ def load_csv_reference(path: str | os.PathLike) -> Dataset:
     if not samples:
         raise DataFormatError(f"{path}: no data rows")
     ids = [sid for sid, _, _, _ in samples]
-    if ids != sorted(ids):
-        raise DataFormatError(f"{path}: rows are not sorted by sample_id")
     pairing = None
     manifest = _manifest_path(path)
     if os.path.exists(manifest):
         meta = read_manifest(manifest)
         if "wild_tag" in meta and "mutated_tag" in meta:
             pairing = (meta["wild_tag"], meta["mutated_tag"])
-    first_shape = samples[0][3].shape
-    for sid, _, _, frames in samples:
-        if frames.shape != first_shape:
-            raise DataFormatError(f"sample {sid!r} has shape {frames.shape}, expected {first_shape}")
     tags = [tag for _, tag, _, _ in samples]
     labels = [label for _, _, label, _ in samples]
     return Dataset(np.stack([frames for _, _, _, frames in samples]), ids, tags, labels, pairing=pairing)

@@ -443,6 +443,9 @@ class TestFailFast:
             ("svm_sigma = 1e200", "svm_sigma"),
             ("svm_sigma = 1e-170", "svm_sigma"),
             ("svm_a = nan", "svm_a"),
+            # a slope of 0 gives a constant kernel
+            ("svm_a = 0", "svm_a"),
+            ("svm_a = -0.5", "svm_a"),
             ("svm_b = inf", "svm_b"),
             ("lam = -0.5", "lam"),
             ("lam = nan", "lam"),

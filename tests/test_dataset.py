@@ -186,6 +186,10 @@ GOOD = [
 ]
 
 
+# GOOD up to sample a, which gains a fourth frame
+A4 = GOOD[:4] + ["a,wt,wild,3,1.25,1.75"]
+
+
 def lines_with(**edits):
     """GOOD with some lines replaced: ``l3="..."`` sets file line 3."""
     lines = list(GOOD)
@@ -247,7 +251,7 @@ LOADER_CASES = [
      "tracks.csv:3: sample 'a' changes group_tag or label mid-file"),
     ("tag-change", lines_with(l3="a,wx,wild,1,0.75,1.5"),
      "tracks.csv:3: sample 'a' changes group_tag or label mid-file"),
-    ("unknown-label", lines_with(l2="a,wt,wibble,0,0.5,1.25"), "unknown label token 'wibble'"),
+    ("unknown-label", lines_with(l2="a,wt,wibble,0,0.5,1.25"), "tracks.csv:2: unknown label token 'wibble'"),
     ("frame-index-gap", lines_with(l3="a,wt,wild,2,0.75,1.5"),
      "tracks.csv:3: frame_index '2' out of order (expected 1)"),
     ("unsorted-ids", "\n".join([HEADER] + GOOD[4:] + GOOD[1:4]) + "\n", "tracks.csv: rows are not sorted by sample_id"),
@@ -272,6 +276,15 @@ LOADER_CASES = [
      "tracks.csv:3: non-numeric coordinate value"),
     ("nan-before-quoted-error", lines_with(l3="a,wt,wild,1,nan,1.5", l6='b,mut,mutated,1,"x",3.5'),
      "tracks.csv:3: non-finite coordinate value"),
+    # id order and the shared frame count are record rules too: the earlier record's rule is reported
+    ("short-sample-before-non-numeric",
+     "\n".join(A4 + GOOD[4:] + [f"c,mut,mutated,{i},{'oops' if i == 1 else i},1.0" for i in range(4)]) + "\n",
+     "sample 'b' has shape (3, 2), expected (4, 2)"),
+    ("unsorted-ids-before-non-numeric", "\n".join([HEADER] + GOOD[4:] + GOOD[1:3] + ["a,wt,wild,2,oops,-0.0"]) + "\n",
+     "tracks.csv: rows are not sorted by sample_id"),
+    ("short-sample-before-unsorted-ids",
+     "\n".join(A4 + [line.replace("b,", "c,") for line in GOOD[4:]] + GOOD[4:] + ["b,mut,mutated,3,1.75,4.5"]) + "\n",
+     "sample 'c' has shape (3, 2), expected (4, 2)"),
     # every field of every record quoted: the exact pass reads the whole file
     ("quoted-all", quote_all(lines_with()), None),
     # the plain pass gives up at the last record, after numpy has read the rest

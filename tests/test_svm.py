@@ -56,6 +56,12 @@ class TestKernelSpec:
             train_smo(x, y, KernelSpec(kind, **{field: value}))
         assert exc.value.fields == (field,)
 
+    @pytest.mark.parametrize("a", [0.0, -0.0, -0.5])
+    def test_slope_must_be_positive(self, a):
+        with pytest.raises(ConfigError, match=f"^a must be positive, got {a}$") as exc:
+            KernelSpec("sigmoid", a=a)
+        assert exc.value.fields == ("a",)
+
     def test_width_from_data_is_not_a_config_value(self):
         # a median distance whose 2 sigma^2 overflows is the data's width,
         # not a config value, so resolving it raises no ConfigError
